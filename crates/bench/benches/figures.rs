@@ -7,6 +7,7 @@ use noc_power::area::{AreaConfig, AreaModel};
 use noc_power::chip::ChipPowerModel;
 use noc_power::router::{RouterConfig, RouterPowerModel};
 use noc_power::tech::{OperatingPoint, TechNode};
+use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::controller::SprintPolicy;
 use noc_sprinting::experiment::{Experiment, ThermalVariant};
@@ -71,7 +72,8 @@ fn bench_fig11_sim_point(c: &mut Criterion) {
     let e = Experiment::quick();
     c.bench_function("fig11_synthetic_point_4core", |b| {
         b.iter(|| {
-            e.run_synthetic(4, true, TrafficPattern::UniformRandom, 0.1, 7)
+            let spec = TopologySpec::default();
+            e.run_synthetic_on(spec, 4, true, TrafficPattern::UniformRandom, 0.1, 7)
                 .unwrap()
         })
     });

@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_sim::geometry::NodeId;
 use noc_sim::routing::RoutingFunction;
 use noc_sim::topology::Mesh2D;
-use noc_sprinting::cdor::{is_deadlock_free, CdorRouting};
+use noc_sprinting::{is_deadlock_free, CdorRouting};
 use noc_sprinting::floorplan::Floorplan;
 use noc_sprinting::sprint_topology::{sprint_order, SprintSet};
 

@@ -17,6 +17,7 @@
 //!   maximal idle credit.
 
 use noc_bench::{banner, markdown_table};
+use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::{BurstSchedule, TrafficPattern};
 use noc_sprinting::experiment::Experiment;
 
@@ -99,8 +100,9 @@ fn main() {
     // initiation and no packet ever stalls on a sleeping router. Measured
     // on-phase power/latency come from the simulator; the off phase is the
     // nominal network.
+    let mesh = TopologySpec::default();
     let ns_on = e
-        .run_synthetic(level, true, TrafficPattern::UniformRandom, rate, 7)
+        .run_synthetic_on(mesh, level, true, TrafficPattern::UniformRandom, rate, 7)
         .expect("NoC-sprinting on-phase");
     let nominal_net = {
         // One powered router + its (zero) region links.

@@ -37,7 +37,7 @@
 //! - `--print-schema` — print the generated wire-schema tables embedded in
 //!   SERVICE.md and exit (used to regenerate the doc after type changes).
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -242,27 +242,9 @@ fn main() -> ExitCode {
 /// One session on stdin/stdout: requests in, events out, until EOF or a
 /// `shutdown` request.
 fn serve_stdio(service: &SweepService) -> std::io::Result<()> {
-    let stdin = std::io::stdin().lock();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for line in stdin.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut io_err = None;
-        let control = service.handle_line(&line, &mut |ev: ServiceResponse| {
-            if io_err.is_none() {
-                io_err = write_event(&mut out, &ev).err();
-            }
-        });
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        if control == ServiceControl::Shutdown {
-            break;
-        }
-    }
+    service.serve_lines(std::io::stdin().lock(), &mut |ev| write_event(&mut out, ev))?;
     Ok(())
 }
 
@@ -296,24 +278,9 @@ fn serve_socket(service: &SweepService, path: &std::path::Path) -> std::io::Resu
     ) -> std::io::Result<()> {
         let reader = std::io::BufReader::new(stream.try_clone()?);
         let mut writer = std::io::BufWriter::new(stream);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut io_err = None;
-            let control = service.handle_line(&line, &mut |ev: ServiceResponse| {
-                if io_err.is_none() {
-                    io_err = write_event(&mut writer, &ev).err();
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            if control == ServiceControl::Shutdown {
-                stop.store(true, Ordering::SeqCst);
-                break;
-            }
+        let control = service.serve_lines(reader, &mut |ev| write_event(&mut writer, ev))?;
+        if control == ServiceControl::Shutdown {
+            stop.store(true, Ordering::SeqCst);
         }
         Ok(())
     }

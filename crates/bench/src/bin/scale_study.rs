@@ -22,24 +22,16 @@
 //! run, aborting on divergence.
 
 use noc_bench::{banner, markdown_table, pct, reduction, watts, FigureHarness};
-use noc_sim::geometry::NodeId;
 use noc_sim::sim::SimConfig;
 use noc_sim::traffic::TrafficPattern;
 use noc_sim::topology::TopologySpec;
-use noc_sprinting::config::SystemConfig;
-use noc_sprinting::controller::SprintController;
 use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
-fn experiment(mesh: u16, quick: bool, validate_every: Option<u64>) -> Experiment {
+/// The paper's experiment (master at node 0); the mesh size travels in
+/// each job's topology.
+fn experiment(quick: bool, validate_every: Option<u64>) -> Experiment {
     let mut e = Experiment::paper();
-    e.system = SystemConfig {
-        core_count: u32::from(mesh) * u32::from(mesh),
-        mesh_width: mesh,
-        mesh_height: mesh,
-        ..SystemConfig::paper()
-    };
-    e.controller = SprintController::new(e.system.mesh(), NodeId(0));
     if quick {
         e.sim_config = SimConfig::quick();
     }
@@ -96,8 +88,7 @@ fn main() {
             "the latency/power benefits grow with the dark fraction as chips scale"
         )
     );
-    let e = experiment(mesh, quick, validate_every);
-    assert!(e.system.is_consistent());
+    let e = experiment(quick, validate_every);
     let harness = FigureHarness::new();
     let rate = 0.15;
     let levels: Vec<usize> = match (mesh, quick) {
@@ -118,7 +109,10 @@ fn main() {
                 SyntheticBaseline::SpreadAggregate,
             ]
             .map(|baseline| SyntheticJob {
-                topology: TopologySpec::default(),
+                topology: TopologySpec::Mesh {
+                    width: mesh,
+                    height: mesh,
+                },
                 level,
                 pattern: TrafficPattern::UniformRandom,
                 rate,

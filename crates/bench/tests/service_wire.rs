@@ -183,3 +183,59 @@ fn malformed_and_failing_requests_keep_the_daemon_alive() {
     assert_eq!(done.failed, 1);
     let _ = std::fs::remove_dir_all(&cache);
 }
+
+/// Hostile input gets an `error` reply on the same connection, and the
+/// daemon keeps serving: a 300k-deep bracket line (which once overflowed
+/// the parser's stack), a line past the length limit, and a job naming a
+/// topology far beyond the node limit (which once reached the allocator).
+#[test]
+fn hostile_lines_get_errors_and_the_daemon_keeps_serving() {
+    let cache = scratch_dir("hostile");
+    let mut child = spawn_daemon(&cache);
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let writer = std::thread::spawn(move || {
+        writeln!(stdin, "{}", "[".repeat(300_000)).unwrap();
+        writeln!(stdin, "{{\"type\":\"ping\"}}").unwrap();
+        let oversized = "x".repeat(noc_sprinting::service::MAX_REQUEST_LINE_BYTES + 1);
+        writeln!(stdin, "{oversized}").unwrap();
+        writeln!(stdin, "{{\"type\":\"ping\"}}").unwrap();
+        writeln!(
+            stdin,
+            r#"{{"type":"submit","id":"huge","jobs":[{{"topology":"mesh65535x65535","level":4,"pattern":"uniform","rate":0.03,"seed":"0x1","baseline":"noc_sprinting"}}]}}"#
+        )
+        .unwrap();
+        writeln!(stdin, "{{\"type\":\"ping\"}}").unwrap();
+        writeln!(stdin, "{{\"type\":\"shutdown\"}}").unwrap();
+    });
+    let mut kinds = Vec::new();
+    for line in stdout.lines() {
+        let kind = match ServiceResponse::from_json_line(&line.unwrap()).unwrap() {
+            ServiceResponse::Error { id, message } => {
+                assert_eq!(id, None);
+                assert!(message.starts_with("bad request"), "{message}");
+                "error"
+            }
+            ServiceResponse::PointFailed { id, error, .. } => {
+                assert_eq!(id, "huge");
+                assert!(error.contains("the limit is 4096"), "{error}");
+                "point_failed"
+            }
+            ServiceResponse::Pong { .. } => "pong",
+            ServiceResponse::Done { summary, .. } => {
+                assert_eq!((summary.ok, summary.failed), (0, 1));
+                "done"
+            }
+            ServiceResponse::Accepted { .. } | ServiceResponse::Progress { .. } => continue,
+            other => panic!("unexpected event: {other:?}"),
+        };
+        kinds.push(kind);
+    }
+    writer.join().expect("writer thread");
+    assert!(child.wait().expect("daemon exits").success());
+    assert_eq!(
+        kinds,
+        ["error", "pong", "error", "pong", "point_failed", "done", "pong"]
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}

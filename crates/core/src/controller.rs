@@ -63,21 +63,14 @@ pub struct SprintController {
 }
 
 impl SprintController {
-    /// Creates a controller for a mesh with the given master node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master is outside the mesh.
-    pub fn new(mesh: Mesh2D, master: NodeId) -> Self {
-        Self::on(Topo::from(mesh), master)
-    }
-
-    /// Creates a controller on an arbitrary topology (see TOPOLOGY.md).
+    /// Creates a controller on a topology (see TOPOLOGY.md) with the given
+    /// master node.
     ///
     /// # Panics
     ///
     /// Panics if the master is outside the topology.
-    pub fn on(topo: Topo, master: NodeId) -> Self {
+    pub fn new(topo: impl Into<Topo>, master: NodeId) -> Self {
+        let topo = topo.into();
         assert!(master.0 < topo.len(), "master {master} outside mesh");
         SprintController { topo, master }
     }
@@ -86,18 +79,6 @@ impl SprintController {
     /// to the memory controller).
     pub fn paper() -> Self {
         Self::new(Mesh2D::paper_4x4(), NodeId(0))
-    }
-
-    /// The mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-mesh controller; use [`SprintController::topo`] for
-    /// topology-agnostic access.
-    pub fn mesh(&self) -> &Mesh2D {
-        self.topo
-            .as_mesh()
-            .expect("controller is not on a mesh topology")
     }
 
     /// The topology the controller sprints on.
@@ -438,7 +419,7 @@ mod tests {
     #[test]
     fn transient_faults_are_retried_through() {
         let c = ctl();
-        let order = crate::sprint_topology::sprint_order(c.mesh(), c.master());
+        let order = crate::sprint_topology::sprint_order(c.topo().as_dyn(), c.master());
         // Second node in sprint order fails twice, then wakes.
         let faults = WakeupFaults::none().with(order[1], WakeupFault::Transient(2));
         let backoff = BackoffPolicy {
@@ -455,7 +436,7 @@ mod tests {
     #[test]
     fn permanent_fault_degrades_to_prefix_region() {
         let c = ctl();
-        let order = crate::sprint_topology::sprint_order(c.mesh(), c.master());
+        let order = crate::sprint_topology::sprint_order(c.topo().as_dyn(), c.master());
         let faults = WakeupFaults::none().with(order[2], WakeupFault::Permanent);
         let d = c
             .sprint_set_degraded(8, &faults, BackoffPolicy::default())
@@ -463,7 +444,7 @@ mod tests {
         assert_eq!(d.achieved_level(), 2, "capped before the dead node");
         assert_eq!(d.abandoned, order[2..8].to_vec());
         // The degraded region is still a valid convex sprint set.
-        assert!(crate::convex::is_convex(c.mesh(), d.set.mask()));
+        assert!(c.topo().region_valid(d.set.mask()));
         // Permanent failure burned the full retry budget on that node.
         assert_eq!(d.attempts, 2 + 4);
     }
@@ -471,7 +452,7 @@ mod tests {
     #[test]
     fn transient_fault_beyond_retry_budget_degrades() {
         let c = ctl();
-        let order = crate::sprint_topology::sprint_order(c.mesh(), c.master());
+        let order = crate::sprint_topology::sprint_order(c.topo().as_dyn(), c.master());
         let faults = WakeupFaults::none().with(order[1], WakeupFault::Transient(10));
         let backoff = BackoffPolicy {
             base_cycles: 4,

@@ -8,7 +8,6 @@ use noc_power::router::{RouterConfig, RouterPowerModel};
 use noc_power::tech::{OperatingPoint, TechNode};
 use noc_sim::error::SimError;
 use noc_sim::network::{GatingMode, Network};
-use noc_sim::routing::{CirculantRouting, RoutingFunction, XyRouting};
 use noc_sim::sim::{SimConfig, SimOutcome, Simulation};
 use noc_sim::topology::{Topo, TopologySpec};
 use noc_sim::traffic::{BurstSchedule, Placement, TrafficGen, TrafficPattern};
@@ -19,7 +18,6 @@ use noc_workload::speedup::ExecutionModel;
 
 use std::sync::Arc;
 
-use crate::cdor::CdorRouting;
 use crate::config::SystemConfig;
 use crate::controller::{SprintController, SprintPolicy};
 use crate::floorplan::Floorplan;
@@ -106,10 +104,11 @@ impl Experiment {
     // ------------------------------------------------------------------
 
     /// Runs the network for one benchmark under a policy: NoC-sprinting
-    /// confines traffic and power to the sprint region with CDOR; all other
-    /// policies run on the fully powered mesh with XY routing (full
-    /// sprinting spreads the application over all 16 nodes; naive
-    /// fine-grained uses `k` nodes but leaves the whole network on).
+    /// confines traffic and power to the sprint region with the topology's
+    /// gated routing (CDOR on the mesh); all other policies run on the
+    /// fully powered network with its full routing (full sprinting spreads
+    /// the application over every node; naive fine-grained uses `k` nodes
+    /// but leaves the whole network on).
     ///
     /// # Errors
     ///
@@ -120,8 +119,8 @@ impl Experiment {
         bench: &BenchmarkProfile,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
         let set = self.controller.sprint_set(policy, bench);
+        let topo = set.topo();
         let rate = bench.injection_rate.max(0.02);
         // Uniform-random peer traffic, as in the paper's Fig. 9/10
         // methodology. For the memory-hotspot variant (a fraction of
@@ -134,10 +133,10 @@ impl Experiment {
         if set.level() < 2 {
             let powered = match policy {
                 SprintPolicy::NocSprinting | SprintPolicy::NonSprinting => 1,
-                _ => mesh.len(),
+                _ => topo.len(),
             };
-            let links = if powered == mesh.len() {
-                mesh.num_directed_links()
+            let links = if powered == topo.len() {
+                topo.num_directed_links()
             } else {
                 0
             };
@@ -156,54 +155,15 @@ impl Experiment {
                 saturated: false,
             });
         }
-        match policy {
-            SprintPolicy::NocSprinting => {
-                let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-                self.run_placed(placement, Some(&set), pattern, rate, seed)
-            }
-            SprintPolicy::FullSprinting => {
-                let placement = Placement::full(&mesh);
-                self.run_placed(placement, None, pattern, rate, seed)
-            }
-            SprintPolicy::NonSprinting | SprintPolicy::NaiveFineGrained => {
-                // Traffic among the active cores (compactly placed, as the
-                // OS would schedule), but the full network stays powered.
-                let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-                self.run_placed(placement, None, pattern, rate, seed)
-            }
-        }
-    }
-
-    /// Runs a synthetic-traffic operating point for Fig. 11: `level`-core
-    /// sprinting at `rate` flits/cycle/node.
-    ///
-    /// With `noc_sprinting = true` the sprint region + CDOR + gating are
-    /// used; otherwise the k logical nodes are placed **randomly** on the
-    /// fully powered mesh (the paper averages this over ten samples via
-    /// distinct seeds).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_synthetic(
-        &self,
-        level: usize,
-        noc_sprinting: bool,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        if noc_sprinting {
-            let set = SprintSet::new(mesh, self.controller.master(), level);
-            let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-            self.run_placed(placement, Some(&set), pattern, rate, seed)
-        } else {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-            let placement = Placement::random(level, &mesh, &mut rng);
-            self.run_placed(placement, None, pattern, rate, seed)
-        }
+        let active = || Placement::new(set.active_nodes().to_vec(), &**topo);
+        let (placement, gated) = match policy {
+            SprintPolicy::NocSprinting => (active()?, Some(&set)),
+            SprintPolicy::FullSprinting => (Placement::full(&**topo), None),
+            // Traffic among the active cores (compactly placed, as the OS
+            // would schedule), but the full network stays powered.
+            SprintPolicy::NonSprinting | SprintPolicy::NaiveFineGrained => (active()?, None),
+        };
+        self.run_placed_on(topo.clone(), placement, gated, pattern, rate, None, seed)
     }
 
     /// Like [`Experiment::run_network`], but the benchmark's
@@ -223,82 +183,39 @@ impl Experiment {
         rate_scale: f64,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
         let set = self.controller.sprint_set(policy, bench);
+        let topo = set.topo();
         let rate = (bench.injection_rate * rate_scale).max(0.02);
         let pattern = TrafficPattern::Hotspot {
             hot_fraction: bench.memory_intensity,
         };
-        match policy {
+        let (placement, gated) = match policy {
             SprintPolicy::NocSprinting => {
-                let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-                self.run_placed(placement, Some(&set), pattern, rate, seed)
+                (Placement::new(set.active_nodes().to_vec(), &**topo)?, Some(&set))
             }
-            _ => {
-                let placement = Placement::full(&mesh);
-                self.run_placed(placement, None, pattern, rate, seed)
-            }
-        }
+            _ => (Placement::full(&**topo), None),
+        };
+        self.run_placed_on(topo.clone(), placement, gated, pattern, rate, None, seed)
     }
 
-    /// The Fig. 11 full-sprinting baseline that matches the paper's
-    /// saturation discussion: "full-sprinting spreads the **same amount of
-    /// traffic** among a fixed fully-functional network" — all `N` nodes
-    /// inject, with per-node rate `level * rate / N` so the aggregate load
-    /// equals the `level`-core sprint at `rate`.
+    /// Runs a synthetic-traffic operating point for Fig. 11 on the topology
+    /// `spec` (see TOPOLOGY.md): `level`-core sprinting at `rate`
+    /// flits/cycle/node.
+    ///
+    /// With `noc_sprinting = true` the sprint region grows from the master
+    /// in the topology's
+    /// [`sprint_weight`](noc_sim::topology::Topology::sprint_weight) order,
+    /// traffic stays inside it under the topology's gated routing (CDOR on
+    /// a mesh, the in-arc ring walk on a circulant), and everything outside
+    /// is gated. Otherwise the `level` endpoints are placed **randomly** on
+    /// the fully powered network under its full routing (the paper averages
+    /// this over ten samples via distinct seeds).
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
-    pub fn run_synthetic_spread(
-        &self,
-        level: usize,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        let spread_rate = rate * level as f64 / mesh.len() as f64;
-        self.run_placed(Placement::full(&mesh), None, pattern, spread_rate, seed)
-    }
-
-    /// Checks a mesh spec against the experiment's configured mesh, or
-    /// builds the non-mesh topology. `Ok(None)` means "use the mesh paths".
-    fn resolve_topology(&self, spec: TopologySpec) -> Result<Option<Topo>, SimError> {
-        if spec.is_mesh() {
-            let mesh = self.system.mesh();
-            let configured = TopologySpec::Mesh {
-                width: mesh.width(),
-                height: mesh.height(),
-            };
-            if spec != configured {
-                return Err(SimError::InvalidConfig(format!(
-                    "topology {} does not match the configured mesh {}",
-                    spec.wire_name(),
-                    configured.wire_name()
-                )));
-            }
-            return Ok(None);
-        }
-        spec.build()
-            .map(Some)
-            .map_err(|e| SimError::InvalidConfig(e.to_string()))
-    }
-
-    /// Topology-generic [`Experiment::run_synthetic`] (see TOPOLOGY.md).
-    ///
-    /// A mesh `spec` must match the configured mesh and takes *exactly* the
-    /// mesh code path — bit-identical to calling `run_synthetic` directly.
-    /// A circulant spec grows the sprint region as a ring arc from the
-    /// master, routes in-arc (chord-first when fully lit), and gates
-    /// everything outside the arc; the non-sprinting baseline places the
-    /// `level` endpoints randomly on the fully powered, chord-routed ring.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] on a mesh spec that mismatches the
-    /// configured mesh or a degenerate circulant; otherwise propagates
-    /// simulator errors.
+    /// [`SimError::InvalidConfig`] on a spec that does not build: degenerate,
+    /// or above [`MAX_TOPOLOGY_NODES`](noc_sim::topology::MAX_TOPOLOGY_NODES)
+    /// nodes. Otherwise propagates simulator errors.
     pub fn run_synthetic_on(
         &self,
         spec: TopologySpec,
@@ -308,33 +225,24 @@ impl Experiment {
         rate: f64,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let Some(topo) = self.resolve_topology(spec)? else {
-            return self.run_synthetic(level, noc_sprinting, pattern, rate, seed);
-        };
+        let topo = build_topology(spec)?;
         if noc_sprinting {
             let set = SprintSet::on(topo.clone(), self.controller.master(), level);
-            let routing = CirculantRouting::on_arc(set.mask().to_vec());
-            let placement = Placement::new(set.active_nodes().to_vec(), topo.as_dyn())?;
-            self.run_placed_on(topo, Box::new(routing), placement, Some(&set), pattern, rate, seed)
+            let placement = Placement::new(set.active_nodes().to_vec(), &*topo)?;
+            self.run_placed_on(topo, placement, Some(&set), pattern, rate, None, seed)
         } else {
             use rand::SeedableRng;
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-            let placement = Placement::random(level, topo.as_dyn(), &mut rng);
-            self.run_placed_on(
-                topo,
-                Box::new(CirculantRouting::full()),
-                placement,
-                None,
-                pattern,
-                rate,
-                seed,
-            )
+            let placement = Placement::random(level, &*topo, &mut rng);
+            self.run_placed_on(topo, placement, None, pattern, rate, None, seed)
         }
     }
 
-    /// Topology-generic [`Experiment::run_synthetic_spread`]: all nodes of
-    /// the topology inject, aggregate load matched to the `level`-core
-    /// sprint. Mesh specs take the bit-identical mesh path.
+    /// The Fig. 11 full-sprinting baseline that matches the paper's
+    /// saturation discussion: "full-sprinting spreads the **same amount of
+    /// traffic** among a fixed fully-functional network" — all `N` nodes of
+    /// the topology `spec` inject, with per-node rate `level * rate / N` so
+    /// the aggregate load equals the `level`-core sprint at `rate`.
     ///
     /// # Errors
     ///
@@ -347,61 +255,28 @@ impl Experiment {
         rate: f64,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let Some(topo) = self.resolve_topology(spec)? else {
-            return self.run_synthetic_spread(level, pattern, rate, seed);
-        };
+        let topo = build_topology(spec)?;
         let spread_rate = rate * level as f64 / topo.len() as f64;
-        let placement = Placement::full(topo.as_dyn());
-        self.run_placed_on(
-            topo,
-            Box::new(CirculantRouting::full()),
-            placement,
-            None,
-            pattern,
-            spread_rate,
-            seed,
-        )
+        let placement = Placement::full(&*topo);
+        self.run_placed_on(topo, placement, None, pattern, spread_rate, None, seed)
     }
 
-    fn run_placed(
-        &self,
-        placement: Placement,
-        gated: Option<&SprintSet>,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let routing: Box<dyn RoutingFunction> = match gated {
-            Some(set) => Box::new(CdorRouting::new(set)),
-            None => Box::new(XyRouting),
-        };
-        self.run_placed_on(
-            Topo::from(self.system.mesh()),
-            routing,
-            placement,
-            gated,
-            pattern,
-            rate,
-            seed,
-        )
-    }
-
-    /// Topology-generic core of every synthetic run: builds the network on
-    /// `topo` with `routing`, applies the sprint set's power mask when one
-    /// is given, simulates, and prices power by powered resources. The
-    /// mesh paths route through here unchanged (pinned bit-identical by
-    /// `mesh_runs_are_bit_identical_to_pre_trait_refactor`).
+    /// The core of every gated or fully powered network run: builds the
+    /// network on `topo` with the topology's routing (confined to the sprint
+    /// set's region when `gated` is given, which also applies its power
+    /// mask), simulates, and prices power by powered resources.
     #[allow(clippy::too_many_arguments)]
     fn run_placed_on(
         &self,
         topo: Topo,
-        routing: Box<dyn RoutingFunction>,
         placement: Placement,
         gated: Option<&SprintSet>,
         pattern: TrafficPattern,
         rate: f64,
+        bursts: Option<BurstSchedule>,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
+        let routing = topo.routing(gated.map(SprintSet::mask));
         let mut net = Network::with_topology(topo.clone(), self.system.router, routing)?;
         if let Some(set) = gated {
             net.set_power_mask(set.mask());
@@ -411,25 +286,24 @@ impl Experiment {
             Some(set) => GatingPlan::from_sprint_set(set).links_on().len(),
             None => topo.num_directed_links(),
         };
-        let traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
+        let mut traffic =
+            TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
+        if let Some(b) = bursts {
+            traffic = traffic.with_bursts(b);
+        }
         net.set_counting(false);
         let outcome = Simulation::new(net, traffic, self.sim_config).run()?;
         self.stage_totals.record(&outcome.stage_cycles);
         let power = self.network_power_of(&outcome, powered_routers, powered_links);
-        Ok(NetworkMetrics {
-            avg_packet_latency: outcome.stats.avg_packet_latency(),
-            avg_network_latency: outcome.stats.avg_network_latency(),
-            network_power: power,
-            accepted_throughput: outcome.stats.accepted_throughput(),
-            saturated: outcome.stats.saturated,
-        })
+        Ok(metrics_of(&outcome, power))
     }
 
     /// Runs `level` compact sprint nodes under **reactive** router gating
-    /// (the traffic-driven alternative of §2): the whole mesh is nominally
-    /// powered, but each router self-gates after `idle_threshold` idle
-    /// cycles and pays `wakeup_latency` on the next arrival. Supports an
-    /// on/off [`BurstSchedule`] to model sporadic computation.
+    /// (the traffic-driven alternative of §2): the whole network is
+    /// nominally powered under its full routing, but each router self-gates
+    /// after `idle_threshold` idle cycles and pays `wakeup_latency` on the
+    /// next arrival. Supports an on/off [`BurstSchedule`] to model sporadic
+    /// computation.
     ///
     /// Power pricing credits each router's leakage+clock by its asleep
     /// fraction and charges wakeup energy per wake event; link drivers stay
@@ -449,10 +323,11 @@ impl Experiment {
         bursts: Option<BurstSchedule>,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        let set = SprintSet::new(mesh, self.controller.master(), level);
-        let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-        let mut net = Network::new(mesh, self.system.router, Box::new(XyRouting))?;
+        let topo = self.controller.topo();
+        let set = SprintSet::on(topo.clone(), self.controller.master(), level);
+        let placement = Placement::new(set.active_nodes().to_vec(), &**topo)?;
+        let routing = topo.routing(None);
+        let mut net = Network::with_topology(topo.clone(), self.system.router, routing)?;
         net.set_gating_mode(GatingMode::Reactive {
             idle_threshold,
             wakeup_latency,
@@ -465,18 +340,12 @@ impl Experiment {
         let outcome = Simulation::new(net, traffic, self.sim_config).run()?;
         self.stage_totals.record(&outcome.stage_cycles);
         let power = self.network_power_reactive(&outcome);
-        Ok(NetworkMetrics {
-            avg_packet_latency: outcome.stats.avg_packet_latency(),
-            avg_network_latency: outcome.stats.avg_network_latency(),
-            network_power: power,
-            accepted_throughput: outcome.stats.accepted_throughput(),
-            saturated: outcome.stats.saturated,
-        })
+        Ok(metrics_of(&outcome, power))
     }
 
-    /// Runs the NoC-sprinting configuration (CDOR + structural gating) with
-    /// an on/off burst schedule — the apples-to-apples counterpart of
-    /// [`Experiment::run_network_reactive`].
+    /// Runs the NoC-sprinting configuration (gated region routing +
+    /// structural gating) with an on/off burst schedule — the
+    /// apples-to-apples counterpart of [`Experiment::run_network_reactive`].
     ///
     /// # Errors
     ///
@@ -489,25 +358,11 @@ impl Experiment {
         bursts: BurstSchedule,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        let set = SprintSet::new(mesh, self.controller.master(), level);
-        let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-        let mut net = Network::new(mesh, self.system.router, Box::new(CdorRouting::new(&set)))?;
-        net.set_power_mask(set.mask());
-        let powered_routers = net.powered_on_count();
-        let powered_links = GatingPlan::from_sprint_set(&set).links_on().len();
-        let traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?
-            .with_bursts(bursts);
-        let outcome = Simulation::new(net, traffic, self.sim_config).run()?;
-        self.stage_totals.record(&outcome.stage_cycles);
-        let power = self.network_power_of(&outcome, powered_routers, powered_links);
-        Ok(NetworkMetrics {
-            avg_packet_latency: outcome.stats.avg_packet_latency(),
-            avg_network_latency: outcome.stats.avg_network_latency(),
-            network_power: power,
-            accepted_throughput: outcome.stats.accepted_throughput(),
-            saturated: outcome.stats.saturated,
-        })
+        let topo = self.controller.topo();
+        let set = SprintSet::on(topo.clone(), self.controller.master(), level);
+        let placement = Placement::new(set.active_nodes().to_vec(), &**topo)?;
+        let bursts = Some(bursts);
+        self.run_placed_on(topo.clone(), placement, Some(&set), pattern, rate, bursts, seed)
     }
 
     /// Prices a reactive-gating outcome: dynamic power from activity,
@@ -529,11 +384,11 @@ impl Experiment {
             router_static += static_per_router * awake_frac;
             wake_power += wakeups as f64 * wake_energy / window_s;
         }
-        let mesh = self.system.mesh();
         let link_dynamic = outcome.activity.link_flits as f64
             * self.link_power.energy_per_flit(&self.op)
             / window_s;
-        let link_static = self.link_power.leakage(&self.op) * mesh.num_directed_links() as f64;
+        let link_static =
+            self.link_power.leakage(&self.op) * self.controller.topo().num_directed_links() as f64;
         router_dynamic + router_static + wake_power + link_dynamic + link_static
     }
 
@@ -721,6 +576,22 @@ impl Experiment {
     }
 }
 
+/// Builds a job's topology, mapping a bad spec to a configuration error.
+fn build_topology(spec: TopologySpec) -> Result<Topo, SimError> {
+    spec.build().map_err(|e| SimError::InvalidConfig(e.to_string()))
+}
+
+/// The network metrics of a finished run priced at `network_power`.
+fn metrics_of(outcome: &SimOutcome, network_power: f64) -> NetworkMetrics {
+    NetworkMetrics {
+        avg_packet_latency: outcome.stats.avg_packet_latency(),
+        avg_network_latency: outcome.stats.avg_network_latency(),
+        network_power,
+        accepted_throughput: outcome.stats.accepted_throughput(),
+        saturated: outcome.stats.saturated,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,8 +748,9 @@ mod tests {
     #[test]
     fn synthetic_run_produces_sane_metrics() {
         let e = exp();
+        let spec = TopologySpec::default();
         let m = e
-            .run_synthetic(4, true, TrafficPattern::UniformRandom, 0.1, 3)
+            .run_synthetic_on(spec, 4, true, TrafficPattern::UniformRandom, 0.1, 3)
             .unwrap();
         assert!(m.avg_packet_latency > 5.0 && m.avg_packet_latency < 200.0);
         assert!(m.network_power > 0.0);

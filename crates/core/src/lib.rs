@@ -17,7 +17,9 @@
 //!   region ([`convex`]),
 //! - [`cdor`] — **Algorithm 2**: convex dimension-order routing with two
 //!   connectivity bits per router; deadlock-free (checked via channel
-//!   dependency graphs) and never touching dark routers,
+//!   dependency graphs) and never touching dark routers (these three
+//!   modules live in `noc-sim`, next to the `Topology` trait whose mesh
+//!   routing they supply, and are re-exported here),
 //! - [`floorplan`] — **Algorithms 3 & 4**: thermal-aware physical placement
 //!   that spreads co-sprinting nodes apart,
 //! - [`gating`] — structural power gating of everything outside the sprint
@@ -66,11 +68,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bypass;
-pub mod cdor;
 pub mod dim;
 pub mod config;
 pub mod controller;
-pub mod convex;
 pub mod experiment;
 pub mod fleet;
 pub mod floorplan;
@@ -80,11 +80,13 @@ pub mod metrics;
 pub mod runner;
 pub mod runtime;
 pub mod service;
-pub mod sprint_topology;
 pub mod telemetry;
 
+pub use noc_sim::routing::is_deadlock_free;
+pub use noc_sim::{cdor, convex, sprint_topology};
+
 pub use bypass::BypassModel;
-pub use cdor::{is_deadlock_free, CdorRouting};
+pub use cdor::CdorRouting;
 pub use dim::{DimModel, DimOperation};
 pub use config::SystemConfig;
 pub use controller::{

@@ -60,6 +60,11 @@ use crate::telemetry::{JsonValue, ManifestPoint, RunManifest};
 /// or the metrics codec changes, invalidating older segments.
 pub const CACHE_FORMAT_VERSION: u32 = 2;
 
+/// Longest request line [`SweepService::serve_lines`] accepts (8 MiB, about
+/// 50k jobs in one `submit`). Bounds what one client can make the daemon
+/// buffer.
+pub const MAX_REQUEST_LINE_BYTES: usize = 8 << 20;
+
 /// The code-version stamp written into every [`CacheRecord`]:
 /// `<crate version>+cache-v<format>+<experiment tag>`. Entries whose stamp
 /// differs from the running daemon's are ignored on load and dropped by
@@ -1402,6 +1407,60 @@ impl SweepService {
         self.metrics.snapshot()
     }
 
+    /// Serves one connection: reads `\n`-terminated request lines from
+    /// `reader` until EOF or a `shutdown` request, handing every response
+    /// event to `write`. Blank lines are skipped. A line longer than
+    /// [`MAX_REQUEST_LINE_BYTES`] or not valid UTF-8 gets an `error` event,
+    /// and the connection goes on with the next line.
+    ///
+    /// # Errors
+    ///
+    /// The first read or `write` error; the connection is over.
+    pub fn serve_lines(
+        &self,
+        mut reader: impl io::BufRead,
+        write: &mut dyn FnMut(&ServiceResponse) -> io::Result<()>,
+    ) -> io::Result<ServiceControl> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let (consumed, fits) =
+                read_bounded_line(&mut reader, &mut buf, MAX_REQUEST_LINE_BYTES)?;
+            if consumed == 0 {
+                return Ok(ServiceControl::Continue);
+            }
+            let mut io_err = None;
+            let mut emit = |ev: ServiceResponse| {
+                if io_err.is_none() {
+                    io_err = write(&ev).err();
+                }
+            };
+            let line = if fits {
+                std::str::from_utf8(&buf).map_err(|_| "is not valid UTF-8".to_string())
+            } else {
+                Err(format!("of {consumed} bytes exceeds the {MAX_REQUEST_LINE_BYTES}-byte limit"))
+            };
+            let control = match line {
+                Ok(line) if line.trim().is_empty() => ServiceControl::Continue,
+                Ok(line) => self.handle_line(line, &mut emit),
+                Err(why) => {
+                    self.metrics.count_request_error();
+                    emit(ServiceResponse::Error {
+                        id: None,
+                        message: format!("bad request: request line {why}"),
+                    });
+                    ServiceControl::Continue
+                }
+            };
+            if let Some(e) = io_err {
+                return Err(e);
+            }
+            if control == ServiceControl::Shutdown {
+                return Ok(control);
+            }
+        }
+    }
+
     /// Parses and serves one request line, emitting response events.
     /// Malformed lines produce an `error` event and keep the daemon alive.
     pub fn handle_line(
@@ -1649,6 +1708,43 @@ impl SweepService {
             summary: summary.clone(),
         });
         Some(summary)
+    }
+}
+
+/// Reads the next `\n`-terminated line from `reader` into `buf` without
+/// its terminator, keeping it only if it fits in `max` bytes; the rest of
+/// an overlong line is consumed and dropped. Returns the bytes consumed
+/// (0 at end of input) and whether the line fit.
+fn read_bounded_line(
+    reader: &mut impl io::BufRead,
+    buf: &mut Vec<u8>,
+    max: usize,
+) -> io::Result<(usize, bool)> {
+    let mut consumed = 0;
+    let mut fits = true;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok((consumed, fits));
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        fits = fits && buf.len() + chunk.len() <= max;
+        if fits {
+            buf.extend_from_slice(chunk);
+        } else {
+            buf.clear();
+        }
+        let used = chunk.len() + usize::from(newline.is_some());
+        reader.consume(used);
+        consumed += used;
+        if newline.is_some() {
+            return Ok((consumed, fits));
+        }
     }
 }
 
@@ -2156,6 +2252,29 @@ mod tests {
             assert!(!a.cache_hit);
             assert!(b.cache_hit);
         }
+    }
+
+    #[test]
+    fn serve_lines_answers_non_utf8_lines_and_keeps_serving() {
+        let service = SweepService::new(
+            Experiment::quick(),
+            ExperimentRunner::with_workers(1),
+            DiskResultCache::in_memory(code_version("quick")),
+        );
+        let input: &[u8] = b"\xff\xfe{}\n\n  \n{\"type\":\"ping\"}\r\n{\"type\":\"shutdown\"}\n";
+        let mut events = Vec::new();
+        let control = service
+            .serve_lines(input, &mut |ev| {
+                events.push(ev.clone());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(control, ServiceControl::Shutdown);
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert!(
+            matches!(&events[0], ServiceResponse::Error { message, .. } if message.contains("UTF-8"))
+        );
+        assert!(matches!(events[1], ServiceResponse::Pong { .. }));
     }
 
     #[test]

@@ -150,13 +150,18 @@ impl JsonValue {
 
     /// Parses a JSON document (must consume the full input).
     ///
+    /// Arrays and objects may nest at most 64 levels deep, so a hostile
+    /// wire line cannot exhaust the stack of the recursive parser.
+    ///
     /// # Errors
     ///
-    /// A human-readable description of the first syntax error.
+    /// A human-readable description of the first syntax error, or of
+    /// nesting deeper than 64 levels.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             s: input.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -184,9 +189,15 @@ fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest in [`JsonValue::parse`] input.
+/// Every document this repository writes stays under 10 levels.
+const MAX_JSON_DEPTH: usize = 64;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Open arrays/objects enclosing the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,8 +240,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.i)),
         }
@@ -962,6 +987,19 @@ mod tests {
         assert!(JsonValue::parse("tru").is_err());
         assert!(JsonValue::parse("{} x").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting_depth() {
+        let nested = |d: usize, open: &str, close: &str| open.repeat(d) + "0" + &close.repeat(d);
+        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH, "[", "]")).is_ok());
+        let too_deep = JsonValue::parse(&nested(MAX_JSON_DEPTH + 1, "[", "]")).unwrap_err();
+        assert!(too_deep.contains("nesting deeper than 64"), "{too_deep}");
+        // Objects count too, and 300k unclosed brackets fail fast instead of
+        // overflowing the stack.
+        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH, "{\"k\":", "}")).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH + 1, "{\"k\":", "}")).is_err());
+        assert!(JsonValue::parse(&"[".repeat(300_000)).is_err());
     }
 
     #[test]

@@ -25,6 +25,14 @@ pub enum TopologyError {
     },
     /// A topology wire name did not parse.
     UnknownTopology(String),
+    /// A topology spec named more nodes than
+    /// [`MAX_TOPOLOGY_NODES`](crate::topology::MAX_TOPOLOGY_NODES).
+    TooLarge {
+        /// The spec's wire name.
+        name: String,
+        /// Its node count.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -42,6 +50,11 @@ impl fmt::Display for TopologyError {
             TopologyError::UnknownTopology(name) => {
                 write!(f, "unknown topology {name:?} (expected mesh<W>x<H> or circ<N>s<S>)")
             }
+            TopologyError::TooLarge { name, nodes } => write!(
+                f,
+                "topology {name} has {nodes} nodes; the limit is {}",
+                crate::topology::MAX_TOPOLOGY_NODES
+            ),
         }
     }
 }

@@ -3,11 +3,17 @@
 //! A Garnet/booksim-class wormhole NoC simulator, built as the interconnect
 //! substrate for the [NoC-Sprinting (DAC 2014)] reproduction. It models:
 //!
-//! - 2D mesh topologies of any size ([`topology::Mesh2D`]),
+//! - pluggable topologies ([`topology::Topology`]): 2D meshes of any size
+//!   ([`topology::Mesh2D`]) and ring-circulants, each supplying its own
+//!   routing and sprint-region rule,
 //! - classic five-stage virtual-channel routers (BW/RC → VA → SA → ST → LT)
 //!   with credit-based flow control ([`router`], [`network`]),
-//! - pluggable routing functions ([`routing::RoutingFunction`]; X-Y DOR is
-//!   built in and the paper's CDOR plugs in from the `noc-sprinting` crate),
+//! - pluggable routing functions ([`routing::RoutingFunction`]): X-Y DOR,
+//!   the paper's CDOR ([`cdor`], Algorithm 2) and chord-first circulant
+//!   routing, with one channel-dependency-graph deadlock check
+//!   ([`routing::is_deadlock_free`]) for all of them,
+//! - sprint regions grown from a master node ([`sprint_topology`],
+//!   Algorithm 1) and their mesh convexity rule ([`convex`]),
 //! - router power gating with *checked* isolation: a flit reaching a dark
 //!   router is a simulation error, which is how the sprinting tests prove
 //!   their routing never touches gated resources,
@@ -47,7 +53,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cdor;
 pub mod closed_loop;
+pub mod convex;
 pub mod error;
 pub mod fault;
 pub mod geometry;
@@ -58,6 +66,7 @@ pub mod router;
 pub mod routing;
 pub mod sim;
 pub mod soa;
+pub mod sprint_topology;
 pub mod stats;
 pub mod sweep;
 pub mod topology;

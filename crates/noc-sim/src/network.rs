@@ -645,18 +645,6 @@ impl Network {
             .collect()
     }
 
-    /// The mesh this network is built on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network was built on a non-mesh topology; use
-    /// [`Network::topology`] for topology-agnostic access.
-    pub fn mesh(&self) -> &Mesh2D {
-        self.topo
-            .as_mesh()
-            .expect("network topology is not a mesh")
-    }
-
     /// The topology this network is built on (see TOPOLOGY.md).
     pub fn topology(&self) -> &dyn Topology {
         self.topo.as_dyn()
@@ -2466,6 +2454,7 @@ mod tests {
     use super::*;
     use crate::packet::{FlitKind, PacketId};
     use crate::routing::XyRouting;
+    use crate::topology::topo_nodes;
 
     fn net() -> Network {
         Network::new(
@@ -2639,7 +2628,7 @@ mod tests {
         for _ in 0..10 {
             net.step().unwrap();
         }
-        for n in net.mesh().nodes() {
+        for n in topo_nodes(net.topology()) {
             for p in Port::ALL {
                 for v in 0..4 {
                     assert_eq!(

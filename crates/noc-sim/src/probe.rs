@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use crate::fault::FaultEvent;
 use crate::geometry::NodeId;
 use crate::network::Network;
+use crate::topology::topo_nodes;
 use crate::router::SleepState;
 use crate::stats::StreamingHistogram;
 
@@ -162,14 +163,10 @@ impl Probe for TimeSeriesObserver {
     }
 
     fn on_epoch(&mut self, cycle: u64, net: &Network) {
-        let buffered = net
-            .mesh()
-            .nodes()
+        let buffered = topo_nodes(net.topology())
             .map(|n| net.buffered_flits(n))
             .collect();
-        let gated = net
-            .mesh()
-            .nodes()
+        let gated = topo_nodes(net.topology())
             .map(|n| {
                 let r = net.router(n);
                 !r.powered_on || r.sleep != SleepState::On
@@ -376,6 +373,35 @@ mod tests {
         let csv = obs.to_csv();
         assert!(csv.starts_with("cycle,node,"));
         assert!(csv.lines().count() > 16);
+    }
+
+    #[test]
+    fn time_series_observer_samples_every_node_of_a_circulant() {
+        use crate::routing::CirculantRouting;
+        use crate::sim::{SimConfig, Simulation};
+        use crate::topology::TopologySpec;
+        use crate::traffic::{Placement, TrafficGen, TrafficPattern};
+
+        let topo = TopologySpec::Circulant { n: 16, skip: 5 }.build().unwrap();
+        let net = Network::with_topology(
+            topo.clone(),
+            RouterParams::paper(),
+            Box::new(CirculantRouting::full()),
+        )
+        .unwrap();
+        let traffic =
+            TrafficGen::new(TrafficPattern::UniformRandom, Placement::full(&*topo), 0.1, 5, 3)
+                .unwrap();
+        let mut obs = TimeSeriesObserver::new(100);
+        Simulation::new(net, traffic, SimConfig::quick())
+            .run_observed(Some(&mut obs))
+            .unwrap();
+        let samples = obs.samples();
+        assert!(!samples.is_empty());
+        for s in samples {
+            assert_eq!(s.buffered.len(), 16, "one occupancy entry per node");
+            assert_eq!(s.gated.len(), 16, "one gating entry per node");
+        }
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! The simulator is parameterized over a [`RoutingFunction`]; the baseline is
 //! dimension-order X-Y routing ([`XyRouting`]). The paper's CDOR (convex
-//! dimension-order routing with connectivity bits) lives in the
-//! `noc-sprinting` crate and implements this same trait.
+//! dimension-order routing with connectivity bits) lives in
+//! [`crate::cdor`] and implements this same trait. Each topology hands out
+//! its own routing through [`Topology::routing`], and [`is_deadlock_free`]
+//! checks any of them.
 
 use std::fmt::Debug;
 
@@ -313,8 +315,8 @@ impl RoutingFunction for YxRouting {
 /// crosses the index wrap-around, and 1 after. Within a class, node indices
 /// along same-port chains are strictly monotone, so the extended channel
 /// dependency graph is acyclic; the chord→ring dimension order rules out
-/// inter-dimension cycles. `circulant_cdg_is_acyclic` pins this per
-/// instance by exhaustive path enumeration.
+/// inter-dimension cycles. [`is_deadlock_free`] pins this per instance by
+/// exhaustive path enumeration.
 ///
 /// ```
 /// use noc_sim::geometry::NodeId;
@@ -354,11 +356,8 @@ impl CirculantRouting {
             return CirculantRouting::full();
         }
         assert!(lit > 0, "empty sprint region");
-        // An arc of k < n nodes has exactly k - 1 internal ring edges.
-        let internal = (0..n).filter(|&i| active[i] && active[(i + 1) % n]).count();
-        assert_eq!(
-            internal,
-            lit - 1,
+        assert!(
+            crate::topology::is_ring_arc(&active),
             "active nodes do not form a contiguous ring arc"
         );
         CirculantRouting {
@@ -496,50 +495,67 @@ impl RoutingFunction for CirculantRouting {
     }
 }
 
-/// Whether the extended channel dependency graph of
-/// [`CirculantRouting::full`] on C(n; 1, s) is acyclic.
+/// Whether `routing` is deadlock-free over the `active` nodes of `topo`:
+/// its extended channel dependency graph is acyclic (the Dally–Seitz
+/// criterion for deterministic routing, extended with VC classes).
 ///
-/// Channels are `(node, direction, vc class)`. Every source→destination
-/// path is walked, recording the dependency from each acquired channel to
-/// the next; a topological sort (Kahn) then decides acyclicity. This is the
-/// machine-checked form of the dateline argument in TOPOLOGY.md, and the
-/// deadlock-freedom proptests sweep it across instances.
+/// Channels are `(node, direction, vc class)`; routing functions with one
+/// VC class (XY, CDOR) put every channel in class 0. Every active
+/// source→destination path is walked, recording the dependency from each
+/// acquired channel to the next; a topological sort (Kahn) then decides
+/// acyclicity. This is the one machine check behind every topology's
+/// deadlock-freedom claim in TOPOLOGY.md: CDOR on convex mesh regions,
+/// the circulant's dateline classes on the full ring, and its in-arc
+/// ring walk on partial regions.
 ///
 /// # Panics
 ///
-/// Panics if `n`/`skip` do not form a valid circulant.
-pub fn circulant_cdg_is_acyclic(n: usize, skip: usize) -> bool {
-    let c = Circulant::new(n, skip).expect("valid circulant");
-    let routing = CirculantRouting::full();
+/// Panics if `active` does not have one entry per node, or if the routing
+/// function walks off the topology or fails to converge.
+pub fn is_deadlock_free(
+    topo: &dyn Topology,
+    routing: &dyn RoutingFunction,
+    active: &[bool],
+) -> bool {
+    assert_eq!(active.len(), topo.len(), "mask length mismatch");
     let classes = routing.vc_classes();
     // Dense channel ids: (node, dir, class).
-    let chan = |node: usize, dir: Direction, class: usize| {
-        (node * 4 + dir as usize) * classes + class
+    let chan = |node: NodeId, dir: Direction, class: usize| {
+        (node.0 * Direction::ALL.len() + dir as usize) * classes + class
     };
-    let num_chans = n * 4 * classes;
+    let num_chans = topo.len() * Direction::ALL.len() * classes;
+    let lit: Vec<NodeId> = (0..topo.len()).filter(|&i| active[i]).map(NodeId).collect();
     let mut edges: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let (src, dst) = (NodeId(src), NodeId(dst));
+    for &src in &lit {
+        for &dst in &lit {
             let mut cur = src;
             let mut prev: Option<usize> = None;
+            let mut hops = 0;
             while cur != dst {
-                let port = routing.route(&c, cur, dst);
-                let dir = port.direction().expect("non-local");
-                let class = routing.vc_class(&c, cur, port, dst);
-                let id = chan(cur.0, dir, class);
+                let port = routing.route(topo, cur, dst);
+                let dir = port
+                    .direction()
+                    .unwrap_or_else(|| panic!("route({cur}, {dst}) returned Local before arrival"));
+                let class = if classes > 1 {
+                    routing.vc_class(topo, cur, port, dst)
+                } else {
+                    0
+                };
+                let id = chan(cur, dir, class);
                 if let Some(p) = prev {
                     edges.insert((p, id));
                 }
                 prev = Some(id);
-                cur = c.neighbor(cur, dir).expect("degree-4 node");
+                cur = topo
+                    .neighbor(cur, dir)
+                    .unwrap_or_else(|| panic!("route({cur}, {dst}) walked off the topology"));
+                hops += 1;
+                assert!(hops <= topo.len(), "routing failed to converge from {src} to {dst}");
             }
         }
     }
-    // Kahn's algorithm.
+    // Kahn's algorithm; channels no path uses have in-degree 0 and fall out
+    // immediately.
     let mut indeg = vec![0usize; num_chans];
     let mut out: Vec<Vec<usize>> = vec![Vec::new(); num_chans];
     for &(a, b) in &edges {
@@ -769,10 +785,41 @@ mod tests {
         // The dateline VC-class argument, machine-checked: the extended
         // channel dependency graph is acyclic for every reference instance.
         for (n, skip) in circulant_instances() {
+            let topo = Circulant::new(n, skip).unwrap();
             assert!(
-                circulant_cdg_is_acyclic(n, skip),
+                is_deadlock_free(&topo, &CirculantRouting::full(), &vec![true; n]),
                 "CDG of C({n}; 1, {skip}) has a cycle"
             );
+        }
+    }
+
+    #[test]
+    fn reference_sprint_regions_route_deadlock_free_inside_the_region() {
+        // Every prefix of Algorithm 1's growth order, on every reference
+        // topology, is a valid region whose gated routing is deadlock-free
+        // and never leaves it: CDOR on mesh regions, the in-arc ring walk
+        // on circulant arcs (and the full routings at the top level).
+        use crate::sprint_topology::SprintSet;
+        use crate::topology::reference_specs;
+        for spec in reference_specs() {
+            let topo = spec.build().unwrap();
+            let n = topo.len();
+            for master in [0, n - 1] {
+                for level in 1..=n {
+                    let set = SprintSet::on(topo.clone(), NodeId(master), level);
+                    let at = format!("{} master {master} level {level}", topo.label());
+                    assert!(topo.region_valid(set.mask()), "{at}: invalid region");
+                    let routing = topo.routing(Some(set.mask()));
+                    assert!(is_deadlock_free(&*topo, &*routing, set.mask()), "{at}: CDG cycle");
+                    for &s in set.active_nodes() {
+                        for &d in set.active_nodes() {
+                            let path = routing.path(&*topo, s, d);
+                            let inside = path.iter().all(|&x| set.is_active(x));
+                            assert!(inside, "{at}: {path:?} leaves the region");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -13,8 +13,7 @@
 use noc_sim::geometry::NodeId;
 use noc_sim::routing::RoutingFunction;
 use noc_sim::topology::Mesh2D;
-use noc_sprinting::cdor::{is_deadlock_free, CdorRouting};
-use noc_sprinting::convex::sprint_set_is_convex;
+use noc_sprinting::{is_deadlock_free, CdorRouting};
 use noc_sprinting::sprint_topology::SprintSet;
 use noc_sprinting_examples::section;
 
@@ -56,7 +55,7 @@ fn main() {
         let set = SprintSet::new(mesh, master, level);
         println!("level {level}:");
         print!("{}", region_ascii(&set));
-        assert!(sprint_set_is_convex(&set), "Algorithm 1 must stay convex");
+        assert!(set.topo().region_valid(set.mask()), "Algorithm 1 must stay convex");
     }
 
     section("CDOR validity across every level");

@@ -222,7 +222,7 @@ fn vnets_work_inside_sprint_regions() {
 #[test]
 fn negative_first_routing_cdg_is_acyclic() {
     use noc_sim::routing::NegativeFirstRouting;
-    use noc_sprinting::cdor::is_deadlock_free;
+    use noc_sprinting::is_deadlock_free;
     for (w, h) in [(4u16, 4u16), (5, 3), (6, 6)] {
         let mesh = Mesh2D::new(w, h).unwrap();
         let active = vec![true; mesh.len()];

@@ -5,8 +5,7 @@ use proptest::prelude::*;
 use noc_sim::geometry::NodeId;
 use noc_sim::routing::{RoutingFunction, XyRouting};
 use noc_sim::topology::Mesh2D;
-use noc_sprinting::cdor::{is_deadlock_free, CdorRouting};
-use noc_sprinting::convex::sprint_set_is_convex;
+use noc_sprinting::{is_deadlock_free, CdorRouting};
 use noc_sprinting::floorplan::Floorplan;
 use noc_sprinting::sprint_topology::{sprint_order, SprintSet};
 use noc_thermal::grid::{GridParams, ThermalGrid};
@@ -30,7 +29,7 @@ proptest! {
         (mesh, master, level) in mesh_master_level()
     ) {
         let set = SprintSet::new(mesh, master, level);
-        prop_assert!(sprint_set_is_convex(&set));
+        prop_assert!(set.topo().region_valid(set.mask()));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use noc_sim::geometry::NodeId;
 use noc_sim::network::{Network, StepEngine};
 use noc_sim::router::RouterParams;
-use noc_sim::routing::{CirculantRouting, RoutingFunction, XyRouting};
+use noc_sim::routing::CirculantRouting;
 use noc_sim::sim::{SimConfig, Simulation};
 use noc_sim::topology::{
     reference_specs, topology_reference, Circulant, Topo, TopologySpec,
@@ -217,11 +217,7 @@ fn circulant_simulation_delivers_on_both_engines() {
 fn reference_topologies_route_minimally_within_diameter() {
     for spec in reference_specs() {
         let topo = spec.build().unwrap();
-        let routing: Box<dyn RoutingFunction> = if topo.as_mesh().is_some() {
-            Box::new(XyRouting)
-        } else {
-            Box::new(CirculantRouting::full())
-        };
+        let routing = topo.routing(None);
         for src in 0..topo.len() {
             for dst in 0..topo.len() {
                 let expect = topo.hops(NodeId(src), NodeId(dst));
