@@ -1,20 +1,19 @@
-//! `noc_top` — live terminal dashboard over `noc-serve` / `noc-fleet`
-//! `stats` snapshots.
+//! `noc_top` — live terminal dashboard over `noc-serve` `stats` snapshots.
 //!
 //! Polls the `stats` wire verb (see `SERVICE.md`) on every target socket
 //! and renders one row per engine: throughput (from completed-counter
 //! deltas between polls), cache hit-rate, p50/p99 point latency, queue
 //! depth, in-flight points and the dominant simulator pipeline stage
-//! (from the `noc_sim_stage_busy_cycles` gauges) — plus per-shard health
-//! rows for fleet coordinators, recent slow points, and a version-skew
-//! warning when engines disagree on their code version.
+//! (from the `noc_sim_stage_busy_cycles` gauges) — plus recent slow
+//! points and a version-skew warning when engines disagree on their code
+//! version.
 //!
 //! ```text
 //! noc_top SOCKET [SOCKET ...] [--interval SECS] [--once] [--json]
 //! ```
 //!
 //! - `SOCKET` — a daemon's Unix request socket (a `noc-serve --socket`
-//!   or `noc-fleet --socket` path); one dashboard row per target.
+//!   path); one dashboard row per target.
 //! - `--interval SECS` — refresh period (default 2, fractional ok).
 //! - `--once` — poll once, print one frame, exit; status 1 if any
 //!   target is unreachable. For scripting and CI smoke tests.
@@ -234,11 +233,6 @@ mod imp {
             if !s.code_version.is_empty() {
                 versions.push(s.code_version.clone());
             }
-            for sh in &s.shards {
-                if sh.alive && !sh.code_version.is_empty() {
-                    versions.push(sh.code_version.clone());
-                }
-            }
             let completed = s.metrics.counter("noc_points_completed_total").unwrap_or(0);
             let rate = match prev.insert(i, (completed, now)) {
                 Some((was, at)) if now > at => {
@@ -281,18 +275,6 @@ mod imp {
                 slow,
                 dominant_stage(s),
             );
-            for sh in &s.shards {
-                let status = if sh.alive { "up" } else { "DOWN" };
-                println!(
-                    "  shard {:<3} {:<40} {:>6} {:>9} {:>8}",
-                    sh.shard,
-                    sh.socket,
-                    status,
-                    sh.engine,
-                    fmt_duration_ms(sh.uptime_ms),
-                );
-                any_down |= !sh.alive;
-            }
             for sp in &s.slow_points {
                 slow_lines.push(format!(
                     "  {name}: config {:#018x} seed {:#x} took {} ({:.1}× the mean {})",

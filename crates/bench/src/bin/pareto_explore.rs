@@ -15,7 +15,7 @@
 //! the grammar is in `SERVICE.md`).
 //!
 //! With `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) candidates are
-//! submitted to a running `noc_serve`/`noc_fleet` daemon, so repeated
+//! submitted to a running `noc_serve` daemon, so repeated
 //! explorations are served from its persistent result cache — a repeat
 //! sweep is pure cache hits and near-free. Without a socket the grid runs
 //! on the in-process parallel [`ExperimentRunner`]; the points are

@@ -15,15 +15,6 @@
 //! smoke check after running a figure binary with `--telemetry DIR` or a
 //! daemon with `--cache DIR`.
 //!
-//! `telemetry_check --fleet DIR` validates a *fleet* cache layout instead:
-//! `DIR` must hold `shard-<K>` subdirectories (one per shard, contiguous
-//! from 0), each a valid cache directory as above, and every key stored
-//! under `shard-<K>` must satisfy the fleet routing rule
-//! `shard_of(key, shards) == K` — hash routing is what keeps the shard
-//! caches disjoint and mergeable by concatenation, so a mis-owned key is
-//! an error. Duplicate keys across shards are impossible by the same rule
-//! (within a shard they must agree bit-for-bit as usual).
-//!
 //! `telemetry_check --stats FILE` validates dumped `stats` snapshots (one
 //! JSON object per line, the `noc_top --once --json` format, optionally
 //! tagged with a `"target"` field). Per snapshot: every histogram's
@@ -39,7 +30,6 @@
 
 use std::collections::HashMap;
 
-use noc_sprinting::fleet::shard_of;
 use noc_sprinting::metrics::{validate_prometheus, StatsSnapshot};
 use noc_sprinting::service::CacheRecord;
 use noc_sprinting::telemetry::{validate_chrome_trace, JsonValue, RunManifest};
@@ -142,117 +132,6 @@ fn check_cache_segment(
         }
     }
     Ok((records, duplicates))
-}
-
-/// Validates a fleet cache layout: `shard-<K>` subdirectories, contiguous
-/// from 0, each segment's keys owned by its shard under the routing rule.
-/// Returns the process exit code.
-fn check_fleet(dir: &str) -> i32 {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("cannot read {dir}: {e}");
-            return 2;
-        }
-    };
-    let mut shard_dirs: Vec<(usize, std::path::PathBuf)> = entries
-        .filter_map(Result::ok)
-        .filter_map(|e| {
-            let path = e.path();
-            let index = path
-                .file_name()?
-                .to_str()?
-                .strip_prefix("shard-")?
-                .parse::<usize>()
-                .ok()?;
-            path.is_dir().then_some((index, path))
-        })
-        .collect();
-    shard_dirs.sort();
-    if shard_dirs.is_empty() {
-        eprintln!("FAIL: no shard-<K> subdirectories in {dir}");
-        return 1;
-    }
-    let shards = shard_dirs.len();
-    if shard_dirs.iter().map(|&(i, _)| i).ne(0..shards) {
-        let found: Vec<usize> = shard_dirs.iter().map(|&(i, _)| i).collect();
-        eprintln!("FAIL: shard directories must be contiguous from 0, found {found:?}");
-        return 1;
-    }
-    let (mut segments, mut records, mut failures) = (0usize, 0usize, 0usize);
-    for (shard, shard_dir) in &shard_dirs {
-        // Per-shard duplicate tracking: cross-shard duplicates cannot
-        // exist when ownership holds, so agreement is a per-shard check.
-        let mut seen: HashMap<u64, String> = HashMap::new();
-        let mut segs: Vec<_> = match std::fs::read_dir(shard_dir) {
-            Ok(entries) => entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.ends_with(".cache.jsonl"))
-                })
-                .collect(),
-            Err(e) => {
-                eprintln!("FAIL shard-{shard}: cannot read: {e}");
-                failures += 1;
-                continue;
-            }
-        };
-        segs.sort();
-        if segs.is_empty() {
-            eprintln!("FAIL shard-{shard}: no *.cache.jsonl segments");
-            failures += 1;
-            continue;
-        }
-        for seg in segs {
-            segments += 1;
-            let name = seg.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
-            let outcome = std::fs::read_to_string(&seg)
-                .map_err(|e| e.to_string())
-                .and_then(|text| check_cache_segment(&text, &mut seen))
-                .and_then(|counts| {
-                    check_shard_ownership(&seen, *shard, shards).map(|()| counts)
-                });
-            match outcome {
-                Ok((recs, dups)) => {
-                    records += recs;
-                    println!(
-                        "ok shard-{shard}/{name}: {recs} cache record(s), {dups} duplicate(s)"
-                    );
-                }
-                Err(e) => {
-                    eprintln!("FAIL shard-{shard}/{name}: {e}");
-                    failures += 1;
-                }
-            }
-        }
-    }
-    println!(
-        "checked {shards} shard(s), {segments} cache segment(s), {records} record(s), \
-         {failures} failure(s)"
-    );
-    i32::from(failures > 0)
-}
-
-/// Every key a shard stores must be routed to that shard — otherwise the
-/// fleet's disjoint-cache invariant (and merge-by-concatenation) is gone.
-fn check_shard_ownership(
-    seen: &HashMap<u64, String>,
-    shard: usize,
-    shards: usize,
-) -> Result<(), String> {
-    for &key in seen.keys() {
-        let owner = shard_of(key, shards);
-        if owner != shard {
-            return Err(format!(
-                "key {key:#018x} belongs to shard {owner} of {shards}, not shard {shard} — \
-                 hash routing violated, shard caches are no longer disjoint"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// One snapshot's internal coherence: histogram bucket sums and the
@@ -403,7 +282,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let [flag, target] = args.as_slice() {
         match flag.as_str() {
-            "--fleet" => std::process::exit(check_fleet(target)),
             "--stats" => std::process::exit(check_stats(target)),
             "--prom" => std::process::exit(check_prom(target)),
             _ => {}
@@ -411,8 +289,8 @@ fn main() {
     }
     let [dir] = args.as_slice() else {
         eprintln!(
-            "usage: telemetry_check DIR | telemetry_check --fleet DIR | \
-             telemetry_check --stats FILE | telemetry_check --prom FILE"
+            "usage: telemetry_check DIR | telemetry_check --stats FILE | \
+             telemetry_check --prom FILE"
         );
         std::process::exit(2);
     };

@@ -127,43 +127,6 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
         }
     }
 
-    /// Round-trips a `ping`.
-    ///
-    /// # Errors
-    ///
-    /// Transport failure, or anything but `pong` coming back.
-    pub fn ping(&mut self) -> Result<(), ServiceClientError> {
-        self.send(&ServiceRequest::Ping)?;
-        match self.read_event()? {
-            ServiceResponse::Pong { .. } => Ok(()),
-            other => Err(ServiceClientError::Protocol(format!(
-                "expected pong, got {}",
-                other.to_json_line()
-            ))),
-        }
-    }
-
-    /// Round-trips a `ping` and returns the daemon's identity:
-    /// `(engine, code_version, uptime_ms)`.
-    ///
-    /// # Errors
-    ///
-    /// Transport failure, or anything but `pong` coming back.
-    pub fn ping_identity(&mut self) -> Result<(String, String, f64), ServiceClientError> {
-        self.send(&ServiceRequest::Ping)?;
-        match self.read_event()? {
-            ServiceResponse::Pong {
-                uptime_ms,
-                code_version,
-                engine,
-            } => Ok((engine, code_version, uptime_ms)),
-            other => Err(ServiceClientError::Protocol(format!(
-                "expected pong, got {}",
-                other.to_json_line()
-            ))),
-        }
-    }
-
     /// Requests a live-metrics snapshot (`stats` verb).
     ///
     /// # Errors
@@ -189,42 +152,7 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
         self.send(&ServiceRequest::Shutdown)
     }
 
-    /// Cancels the batch with request id `id`. Returns whether the server
-    /// reported the batch as in flight (`false` = the cancel was armed for
-    /// a future submit). Only meaningful on a connection that is *not*
-    /// mid-batch — the daemon serves one request per line per connection,
-    /// so cancels targeting a busy connection must travel over a fresh one.
-    ///
-    /// # Errors
-    ///
-    /// Transport failure, or anything but `cancelled` coming back.
-    pub fn cancel(&mut self, id: &str) -> Result<bool, ServiceClientError> {
-        self.send(&ServiceRequest::Cancel { id: id.to_string() })?;
-        match self.read_event()? {
-            ServiceResponse::Cancelled { active, .. } => Ok(active),
-            other => Err(ServiceClientError::Protocol(format!(
-                "expected cancelled, got {}",
-                other.to_json_line()
-            ))),
-        }
-    }
-
-    /// Submits one batch at priority 0; see
-    /// [`ServiceClient::submit_with_priority`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceClientError`]; `PointsFailed` carries the per-point
-    /// errors when the batch completed but some points failed.
-    pub fn submit(
-        &mut self,
-        label: &str,
-        jobs: &[SyntheticJob],
-    ) -> Result<BatchResult, ServiceClientError> {
-        self.submit_with_priority(label, jobs, 0)
-    }
-
-    /// Submits one batch and consumes its event stream through `done`,
+    /// Submits one batch at priority 0 and consumes its event stream through `done`,
     /// validating the contract along the way: every event must echo this
     /// request's id, `point` events must arrive in strict index order, and
     /// the final metric vector must cover every job.
@@ -234,18 +162,17 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
     /// See [`ServiceClientError`]; `Busy` when the server rejected the
     /// batch under backpressure, `PointsFailed` with the per-point errors
     /// when the batch completed but some points failed.
-    pub fn submit_with_priority(
+    pub fn submit(
         &mut self,
         label: &str,
         jobs: &[SyntheticJob],
-        priority: i64,
     ) -> Result<BatchResult, ServiceClientError> {
         let id = format!("req-{}", self.next_id);
         self.next_id += 1;
         self.send(&ServiceRequest::Submit(SubmitRequest {
             id: id.clone(),
             label: label.to_string(),
-            priority,
+            priority: 0,
             jobs: jobs.to_vec(),
         }))?;
         let mut points: Vec<ManifestPoint> = Vec::with_capacity(jobs.len());
@@ -374,655 +301,6 @@ pub fn connect_unix(path: &std::path::Path) -> std::io::Result<UnixServiceClient
     let stream = std::os::unix::net::UnixStream::connect(path)?;
     let reader = std::io::BufReader::new(stream.try_clone()?);
     Ok(ServiceClient::over(reader, stream))
-}
-
-#[cfg(unix)]
-pub use fleet_client::FleetClient;
-
-#[cfg(unix)]
-mod fleet_client {
-    use std::path::PathBuf;
-    use std::sync::{mpsc, Arc};
-    use std::time::Instant;
-
-    use noc_sprinting::fleet::{merge_summaries, sub_batch_id, FleetReorder, ShardPlan};
-    use noc_sprinting::metrics::{MetricsRegistry, ShardHealth, STATS_SCHEMA_VERSION};
-
-    use super::*;
-
-    /// The fleet coordinator's own metrics, shared across clones so a
-    /// long-lived `noc-fleet` process accumulates over its lifetime.
-    #[derive(Debug)]
-    struct FleetMetrics {
-        registry: MetricsRegistry,
-        started: Instant,
-    }
-
-    /// One message from a shard-driver thread to the fleet coordinator.
-    enum ShardMsg {
-        /// The shard accepted its sub-batch.
-        Accepted { shard: usize },
-        /// The shard rejected its sub-batch under backpressure.
-        Busy {
-            shard: usize,
-            pending: usize,
-            limit: usize,
-        },
-        /// One point event, already translated to its original job index.
-        Point { point: ManifestPoint },
-        /// One failed point, translated to its original job index.
-        Failed {
-            index: usize,
-            config_hash: u64,
-            seed: u64,
-            error: String,
-        },
-        /// The shard's sub-batch completed with this summary.
-        Done { summary: BatchSummary },
-        /// An advisory error event from the shard (e.g. persist failure).
-        Note { message: String },
-        /// The shard died (connect failure, closed stream, protocol
-        /// violation) after delivering `delivered` of its points.
-        Lost {
-            shard: usize,
-            delivered: usize,
-            message: String,
-        },
-    }
-
-    /// What the reorder buffer holds for each original job index.
-    enum Outcome {
-        Point(ManifestPoint),
-        Failed {
-            config_hash: u64,
-            seed: u64,
-            error: String,
-        },
-    }
-
-    /// The fleet coordinator: fans one submitted batch across N `noc-serve`
-    /// Unix sockets, hash-routing each job to the shard that owns its cache
-    /// key ([`noc_sprinting::fleet::shard_of`]), and merges the shard
-    /// streams back into one contract-conforming event stream — `point`
-    /// events in strict original-index order, bit-identical to a
-    /// single-daemon run of the same batch.
-    ///
-    /// Failure containment: a shard that dies mid-batch (or never answers)
-    /// costs only its own points, which surface as `point_failed` events
-    /// with a `shard N lost` error; the rest of the batch completes. A
-    /// shard that reports `busy` makes the whole batch busy — the
-    /// coordinator cancels the other shards' sub-batches and relays a
-    /// single `busy` event upward.
-    ///
-    /// Every call opens fresh connections, so the client is stateless
-    /// between batches and usable from concurrent threads.
-    #[derive(Debug, Clone)]
-    pub struct FleetClient {
-        sockets: Vec<PathBuf>,
-        next_id: u64,
-        metrics: Arc<FleetMetrics>,
-    }
-
-    impl FleetClient {
-        /// A coordinator over the daemons listening on `sockets` (one
-        /// shard per socket, shard index = position).
-        ///
-        /// # Panics
-        ///
-        /// Panics on an empty socket list.
-        pub fn new(sockets: Vec<PathBuf>) -> Self {
-            assert!(!sockets.is_empty(), "fleet needs at least one shard socket");
-            FleetClient {
-                sockets,
-                next_id: 0,
-                metrics: Arc::new(FleetMetrics {
-                    registry: MetricsRegistry::new(),
-                    started: Instant::now(),
-                }),
-            }
-        }
-
-        /// Number of shards.
-        pub fn shards(&self) -> usize {
-            self.sockets.len()
-        }
-
-        /// The shard socket paths, in shard order.
-        pub fn sockets(&self) -> &[PathBuf] {
-            &self.sockets
-        }
-
-        /// Pings every shard; succeeds only if all answer.
-        ///
-        /// # Errors
-        ///
-        /// The first shard that cannot be reached or misanswers.
-        pub fn ping(&self) -> Result<(), ServiceClientError> {
-            for socket in &self.sockets {
-                connect_unix(socket)?.ping()?;
-            }
-            Ok(())
-        }
-
-        /// Milliseconds since this coordinator (or its first clone
-        /// ancestor) was constructed.
-        pub fn uptime_ms(&self) -> f64 {
-            self.metrics.started.elapsed().as_secs_f64() * 1e3
-        }
-
-        /// Pings every shard and returns the fleet's identity for a
-        /// `pong`: the first shard's code version (shards are expected to
-        /// run the same build — version skew shows up in `stats`) and the
-        /// coordinator's own uptime.
-        ///
-        /// # Errors
-        ///
-        /// The first shard that cannot be reached or misanswers.
-        pub fn ping_identity(&self) -> Result<(String, f64), ServiceClientError> {
-            let mut version = String::new();
-            for socket in &self.sockets {
-                let (_, v, _) = connect_unix(socket)?.ping_identity()?;
-                if version.is_empty() {
-                    version = v;
-                }
-            }
-            Ok((version, self.uptime_ms()))
-        }
-
-        /// Polls every shard's `stats` and aggregates: counters and gauges
-        /// sum by name, histograms merge their log buckets exactly (never
-        /// resampled), slow-point logs concatenate in shard order, and
-        /// each shard's health lands in `shards`. Unreachable shards are
-        /// reported `alive: false` and contribute nothing — a degraded
-        /// fleet still answers `stats`. The coordinator's own metrics
-        /// (points routed per shard, shard-loss events, reorder-buffer
-        /// high-water mark) ride along under `noc_fleet_*` names.
-        pub fn stats(&self) -> StatsSnapshot {
-            let mut metrics = self.metrics.registry.snapshot();
-            let mut slow_points = Vec::new();
-            let mut shards = Vec::with_capacity(self.shards());
-            let mut code_version = String::new();
-            let mut alive = 0usize;
-            for (shard, socket) in self.sockets.iter().enumerate() {
-                let polled = connect_unix(socket)
-                    .map_err(ServiceClientError::from)
-                    .and_then(|mut c| c.stats());
-                match polled {
-                    Ok(s) => {
-                        alive += 1;
-                        if code_version.is_empty() {
-                            code_version = s.code_version.clone();
-                        }
-                        metrics.merge(&s.metrics);
-                        slow_points.extend(s.slow_points);
-                        shards.push(ShardHealth {
-                            shard,
-                            socket: socket.display().to_string(),
-                            alive: true,
-                            engine: s.engine,
-                            code_version: s.code_version,
-                            uptime_ms: s.uptime_ms,
-                        });
-                    }
-                    Err(_) => shards.push(ShardHealth {
-                        shard,
-                        socket: socket.display().to_string(),
-                        alive: false,
-                        engine: String::new(),
-                        code_version: String::new(),
-                        uptime_ms: 0.0,
-                    }),
-                }
-            }
-            metrics.set_gauge("noc_fleet_shards", self.shards() as f64);
-            metrics.set_gauge("noc_fleet_shards_alive", alive as f64);
-            StatsSnapshot {
-                schema: STATS_SCHEMA_VERSION,
-                engine: "noc-fleet".to_string(),
-                code_version,
-                uptime_ms: self.metrics.started.elapsed().as_secs_f64() * 1e3,
-                metrics,
-                slow_points,
-                shards,
-            }
-        }
-
-        /// Sends `shutdown` to every shard, continuing past failures (a
-        /// dead shard is already shut down).
-        ///
-        /// # Errors
-        ///
-        /// The last failure encountered, if any shard was unreachable.
-        pub fn shutdown(&self) -> Result<(), ServiceClientError> {
-            let mut last = Ok(());
-            for socket in &self.sockets {
-                let result = connect_unix(socket)
-                    .map_err(ServiceClientError::from)
-                    .and_then(|mut c| c.shutdown());
-                if result.is_err() {
-                    last = result;
-                }
-            }
-            last
-        }
-
-        /// Forwards a cancel for fleet request `id` to every shard (as the
-        /// per-shard sub-batch ids). Returns whether any shard reported
-        /// the sub-batch in flight. Unreachable shards are skipped — their
-        /// sub-batch is dying with them anyway.
-        pub fn cancel(&self, id: &str) -> bool {
-            let mut active = false;
-            for (shard, socket) in self.sockets.iter().enumerate() {
-                if let Ok(mut client) = connect_unix(socket) {
-                    if let Ok(a) = client.cancel(&sub_batch_id(id, shard)) {
-                        active |= a;
-                    }
-                }
-            }
-            active
-        }
-
-        /// Evaluates one batch across the fleet, streaming the merged,
-        /// strictly-ordered event stream into `emit` — the same contract
-        /// as [`noc_sprinting::service::SweepService::run_submit`], and
-        /// the same return value: the merged summary, or `None` when a
-        /// shard's backpressure made the batch `busy`.
-        pub fn run_submit(
-            &self,
-            req: &SubmitRequest,
-            emit: &mut dyn FnMut(ServiceResponse),
-        ) -> Option<BatchSummary> {
-            let started = std::time::Instant::now();
-            let total = req.jobs.len();
-            let plan = ShardPlan::new(&req.jobs, self.shards());
-            let active: Vec<usize> = (0..self.shards())
-                .filter(|&s| !plan.indices(s).is_empty())
-                .collect();
-            for &shard in &active {
-                self.metrics
-                    .registry
-                    .counter(&format!("noc_fleet_points_routed_total{{shard=\"{shard}\"}}"))
-                    .add(plan.indices(shard).len() as u64);
-            }
-            let (tx, rx) = mpsc::channel::<ShardMsg>();
-            let mut summaries: Vec<BatchSummary> = Vec::new();
-            let mut busy: Option<(usize, usize)> = None;
-            let mut reorder: FleetReorder<Outcome> = FleetReorder::new(total);
-            // Released outcomes wait here until every shard has accepted —
-            // a late `busy` must leave the upward stream untouched.
-            let mut ready: Vec<(usize, Outcome)> = Vec::new();
-            let mut notes: Vec<String> = Vec::new();
-            std::thread::scope(|s| {
-                for &shard in &active {
-                    let tx = tx.clone();
-                    let plan = &plan;
-                    s.spawn(move || {
-                        drive_shard(&self.sockets[shard], shard, req, plan, &tx);
-                    });
-                }
-                drop(tx);
-                let mut awaiting_first = active.len();
-                let mut terminal = 0usize;
-                let mut accepted_emitted = false;
-                let mut completed = 0usize;
-                let mut progress_emitted = 0usize;
-                let mut first_seen = vec![false; self.shards()];
-                for msg in rx.iter() {
-                    match msg {
-                        ShardMsg::Accepted { shard } => {
-                            first_seen[shard] = true;
-                            awaiting_first -= 1;
-                        }
-                        ShardMsg::Busy {
-                            shard,
-                            pending,
-                            limit,
-                        } => {
-                            first_seen[shard] = true;
-                            awaiting_first -= 1;
-                            terminal += 1;
-                            if busy.is_none() {
-                                busy = Some((pending, limit));
-                                // The batch is dead: stop the other shards.
-                                for &other in &active {
-                                    if other != shard {
-                                        if let Ok(mut c) = connect_unix(&self.sockets[other]) {
-                                            let _ = c.cancel(&sub_batch_id(&req.id, other));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        ShardMsg::Point { point } => {
-                            completed += 1;
-                            let index = point.index;
-                            ready.extend(reorder.push(index, Outcome::Point(point)));
-                        }
-                        ShardMsg::Failed {
-                            index,
-                            config_hash,
-                            seed,
-                            error,
-                        } => {
-                            completed += 1;
-                            ready.extend(reorder.push(
-                                index,
-                                Outcome::Failed {
-                                    config_hash,
-                                    seed,
-                                    error,
-                                },
-                            ));
-                        }
-                        ShardMsg::Done { summary } => {
-                            terminal += 1;
-                            summaries.push(summary);
-                        }
-                        ShardMsg::Note { message } => notes.push(message),
-                        ShardMsg::Lost {
-                            shard,
-                            delivered,
-                            message,
-                        } => {
-                            self.metrics
-                                .registry
-                                .counter("noc_fleet_shard_loss_total")
-                                .inc();
-                            if !first_seen[shard] {
-                                first_seen[shard] = true;
-                                awaiting_first -= 1;
-                            }
-                            terminal += 1;
-                            // The dead shard's undelivered points become
-                            // failures; delivery is in sub-index order, so
-                            // everything past `delivered` is outstanding.
-                            for &orig in &plan.indices(shard)[delivered..] {
-                                completed += 1;
-                                let job = &req.jobs[orig];
-                                ready.extend(reorder.push(
-                                    orig,
-                                    Outcome::Failed {
-                                        config_hash: job.cache_key(),
-                                        seed: job.seed,
-                                        error: format!("shard {shard} lost: {message}"),
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                    if busy.is_none() {
-                        if !accepted_emitted && awaiting_first == 0 {
-                            accepted_emitted = true;
-                            emit(ServiceResponse::Accepted {
-                                id: req.id.clone(),
-                                points: total,
-                            });
-                        }
-                        if accepted_emitted {
-                            if completed > progress_emitted {
-                                progress_emitted = completed;
-                                // The coordinator has no runner of its own;
-                                // its ETA extrapolates the batch's observed
-                                // rate across what remains.
-                                let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                                let eta_ms = Some(
-                                    elapsed_ms * (total - completed) as f64 / completed as f64,
-                                );
-                                emit(ServiceResponse::Progress {
-                                    id: req.id.clone(),
-                                    completed,
-                                    total,
-                                    eta_ms,
-                                });
-                            }
-                            for (index, outcome) in ready.drain(..) {
-                                emit(release_event(&req.id, index, outcome));
-                            }
-                            for message in notes.drain(..) {
-                                emit(ServiceResponse::Error {
-                                    id: Some(req.id.clone()),
-                                    message,
-                                });
-                            }
-                        }
-                    }
-                    if terminal == active.len() {
-                        break;
-                    }
-                }
-            });
-            self.metrics
-                .registry
-                .gauge("noc_fleet_reorder_high_water")
-                .set_max(reorder.high_water() as f64);
-            if let Some((pending, limit)) = busy {
-                emit(ServiceResponse::Busy {
-                    id: req.id.clone(),
-                    pending,
-                    limit,
-                });
-                return None;
-            }
-            // Empty batch: no shard threads ran, so nothing was emitted.
-            if active.is_empty() {
-                emit(ServiceResponse::Accepted {
-                    id: req.id.clone(),
-                    points: total,
-                });
-            }
-            debug_assert!(reorder.is_complete(), "every index delivered or synthesized");
-            let summary = merge_summaries(
-                &summaries,
-                &req.jobs,
-                started.elapsed().as_secs_f64() * 1e3,
-            );
-            emit(ServiceResponse::Done {
-                id: req.id.clone(),
-                summary: summary.clone(),
-            });
-            Some(summary)
-        }
-
-        /// Submits one batch at priority 0 and collects it into a
-        /// [`BatchResult`], mirroring [`ServiceClient::submit`].
-        ///
-        /// # Errors
-        ///
-        /// `Busy` when a shard's backpressure rejected the batch,
-        /// `PointsFailed` when any point failed (including points lost
-        /// with a dead shard).
-        pub fn submit(
-            &mut self,
-            label: &str,
-            jobs: &[SyntheticJob],
-        ) -> Result<BatchResult, ServiceClientError> {
-            let id = format!("fleet-{}", self.next_id);
-            self.next_id += 1;
-            let req = SubmitRequest {
-                id,
-                label: label.to_string(),
-                priority: 0,
-                jobs: jobs.to_vec(),
-            };
-            let mut points = Vec::new();
-            let mut failed = Vec::new();
-            let mut busy = None;
-            let mut summary = None;
-            self.run_submit(&req, &mut |ev| match ev {
-                ServiceResponse::Point { point, .. } => points.push(point),
-                ServiceResponse::PointFailed { index, error, .. } => failed.push((index, error)),
-                ServiceResponse::Busy { pending, limit, .. } => busy = Some((pending, limit)),
-                ServiceResponse::Done { summary: s, .. } => summary = Some(s),
-                _ => {}
-            });
-            if let Some((pending, limit)) = busy {
-                return Err(ServiceClientError::Busy { pending, limit });
-            }
-            if !failed.is_empty() {
-                return Err(ServiceClientError::PointsFailed(failed));
-            }
-            let summary = summary.ok_or_else(|| {
-                ServiceClientError::Protocol("fleet batch ended without done".to_string())
-            })?;
-            let metrics = points
-                .iter()
-                .map(|p| metrics_from_pairs(&p.metrics))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(ServiceClientError::Protocol)?;
-            Ok(BatchResult {
-                metrics,
-                points,
-                summary,
-            })
-        }
-    }
-
-    fn release_event(id: &str, index: usize, outcome: Outcome) -> ServiceResponse {
-        match outcome {
-            Outcome::Point(point) => ServiceResponse::Point {
-                id: id.to_string(),
-                point,
-            },
-            Outcome::Failed {
-                config_hash,
-                seed,
-                error,
-            } => ServiceResponse::PointFailed {
-                id: id.to_string(),
-                index,
-                config_hash,
-                seed,
-                error,
-            },
-        }
-    }
-
-    /// Drives one shard's sub-batch: submits it, translates the shard's
-    /// event stream to original job indices, and reports a terminal
-    /// `Done`/`Busy`/`Lost` message. Never panics the coordinator — every
-    /// failure mode degrades to `Lost`.
-    fn drive_shard(
-        socket: &std::path::Path,
-        shard: usize,
-        req: &SubmitRequest,
-        plan: &ShardPlan,
-        tx: &mpsc::Sender<ShardMsg>,
-    ) {
-        let lost = |delivered: usize, message: String| ShardMsg::Lost {
-            shard,
-            delivered,
-            message,
-        };
-        let sub_id = sub_batch_id(&req.id, shard);
-        let mut client = match connect_unix(socket) {
-            Ok(c) => c,
-            Err(e) => {
-                let _ = tx.send(lost(0, format!("connect failed: {e}")));
-                return;
-            }
-        };
-        let submit = ServiceRequest::Submit(SubmitRequest {
-            id: sub_id.clone(),
-            label: req.label.clone(),
-            priority: req.priority,
-            jobs: plan.sub_jobs(shard, &req.jobs),
-        });
-        if let Err(e) = client.send(&submit) {
-            let _ = tx.send(lost(0, format!("submit failed: {e}")));
-            return;
-        }
-        let mut delivered = 0usize;
-        loop {
-            let ev = match client.read_event() {
-                Ok(ev) => ev,
-                Err(e) => {
-                    let _ = tx.send(lost(delivered, e.to_string()));
-                    return;
-                }
-            };
-            let msg = match ev {
-                ServiceResponse::Accepted { id, .. } if id == sub_id => {
-                    ShardMsg::Accepted { shard }
-                }
-                ServiceResponse::Busy {
-                    id,
-                    pending,
-                    limit,
-                } if id == sub_id => {
-                    let _ = tx.send(ShardMsg::Busy {
-                        shard,
-                        pending,
-                        limit,
-                    });
-                    return;
-                }
-                ServiceResponse::Progress { id, .. } if id == sub_id => continue,
-                ServiceResponse::Point { id, mut point } if id == sub_id => {
-                    let Some(orig) = plan.original_index(shard, point.index) else {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point index {} outside sub-batch", point.index),
-                        ));
-                        return;
-                    };
-                    if point.index != delivered {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point index {} out of order", point.index),
-                        ));
-                        return;
-                    }
-                    delivered += 1;
-                    point.index = orig;
-                    ShardMsg::Point { point }
-                }
-                ServiceResponse::PointFailed {
-                    id,
-                    index,
-                    config_hash,
-                    seed,
-                    error,
-                } if id == sub_id => {
-                    let Some(orig) = plan.original_index(shard, index) else {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point_failed index {index} outside sub-batch"),
-                        ));
-                        return;
-                    };
-                    if index != delivered {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point_failed index {index} out of order"),
-                        ));
-                        return;
-                    }
-                    delivered += 1;
-                    ShardMsg::Failed {
-                        index: orig,
-                        config_hash,
-                        seed,
-                        error,
-                    }
-                }
-                ServiceResponse::Done { id, summary } if id == sub_id => {
-                    let _ = tx.send(ShardMsg::Done { summary });
-                    return;
-                }
-                ServiceResponse::Error { message, .. } => ShardMsg::Note {
-                    message: format!("shard {shard}: {message}"),
-                },
-                other => {
-                    let _ = tx.send(lost(
-                        delivered,
-                        format!("unexpected event {}", other.to_json_line()),
-                    ));
-                    return;
-                }
-            };
-            let _ = tx.send(msg);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! End-to-end observability tests against real spawned daemons: the
 //! `stats` verb under concurrent submit load (snapshots are never torn,
 //! counters never go backwards, and the point stream is bit-identical to
-//! an unobserved run — single daemon and 2-shard fleet), fleet `stats`
-//! aggregation versus a manual merge of the per-shard snapshots, the
-//! `--metrics` Prometheus endpoint under the strict format checker, and
-//! the `noc_top --once --json` → `telemetry_check --stats` pipeline.
+//! an unobserved run), the `--metrics` Prometheus endpoint under the
+//! strict format checker, and the `noc_top --once --json` →
+//! `telemetry_check --stats` pipeline over two daemons.
 
 #![cfg(unix)]
 
@@ -14,7 +13,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use noc_bench::client::{connect_unix, FleetClient};
+use noc_bench::client::connect_unix;
 use noc_sprinting::metrics::{validate_prometheus, StatsSnapshot};
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::JsonValue;
@@ -193,116 +192,6 @@ fn stats_polling_does_not_perturb_a_daemon_batch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Non-perturbation and aggregation, 2-shard fleet: a fleet batch under a
-/// concurrent fleet-stats poller is bit-identical to a single-daemon run,
-/// and the fleet's aggregated snapshot equals a manual merge of the
-/// per-shard snapshots — histograms merged bucket-exactly, never
-/// resampled.
-#[test]
-fn fleet_stats_aggregate_and_do_not_perturb() {
-    let dir = scratch_dir("fleet");
-    let jobs = jobs(10);
-
-    // Single-daemon baseline.
-    let solo_sock = dir.join("solo.sock");
-    let mut solo = spawn_daemon(&solo_sock, &[]);
-    let mut client = connect_unix(&solo_sock).expect("connect");
-    let baseline = client.submit("stats", &jobs).expect("solo batch");
-    client.shutdown().expect("shutdown");
-    assert!(solo.wait().expect("exit").success());
-
-    // Fleet run with a concurrent aggregated-stats poller.
-    let sockets = [dir.join("s0.sock"), dir.join("s1.sock")];
-    let mut shards: Vec<Child> = sockets.iter().map(|s| spawn_daemon(s, &[])).collect();
-    let mut fleet = FleetClient::new(sockets.to_vec());
-    let poll_fleet = fleet.clone();
-    let stop = AtomicBool::new(false);
-    let (observed, polls) = std::thread::scope(|s| {
-        let poller = s.spawn(|| {
-            let mut polls = 0usize;
-            loop {
-                let snapshot = poll_fleet.stats();
-                assert_eq!(snapshot.engine, "noc-fleet");
-                assert_identity(&snapshot);
-                assert_eq!(snapshot.shards.len(), 2);
-                polls += 1;
-                if stop.load(Ordering::Relaxed) {
-                    return polls;
-                }
-            }
-        });
-        let observed = fleet.submit("stats", &jobs).expect("fleet batch");
-        stop.store(true, Ordering::Relaxed);
-        (observed, poller.join().expect("poller"))
-    });
-    assert!(polls > 0, "the fleet poller must actually have polled");
-    assert_eq!(
-        bits_of(&observed.points),
-        bits_of(&baseline.points),
-        "fleet stats polling must not perturb the merged point stream"
-    );
-
-    // Aggregation: the fleet snapshot equals the manual shard merge.
-    let aggregated = fleet.stats();
-    let shard_snaps: Vec<StatsSnapshot> = sockets
-        .iter()
-        .map(|s| connect_unix(s).expect("connect").stats().expect("shard stats"))
-        .collect();
-    for &name in &[
-        "noc_points_submitted_total",
-        "noc_points_completed_total",
-        "noc_cache_hits_total",
-        "noc_cache_misses_total",
-        "noc_batches_total",
-    ] {
-        let sum: u64 = shard_snaps
-            .iter()
-            .map(|s| s.metrics.counter(name).unwrap_or(0))
-            .sum();
-        assert_eq!(
-            aggregated.metrics.counter(name),
-            Some(sum),
-            "aggregated {name} equals the shard sum"
-        );
-    }
-    let mut merged = shard_snaps[0]
-        .metrics
-        .histogram("noc_point_latency_us")
-        .expect("shard 0 histogram")
-        .clone();
-    merged.merge(
-        shard_snaps[1]
-            .metrics
-            .histogram("noc_point_latency_us")
-            .expect("shard 1 histogram"),
-    );
-    assert_eq!(
-        aggregated.metrics.histogram("noc_point_latency_us"),
-        Some(&merged),
-        "fleet histogram equals the exact bucket merge of the shards"
-    );
-    // Coordinator-side metrics rode along.
-    let routed: u64 = (0..2)
-        .map(|s| {
-            aggregated
-                .metrics
-                .counter(&format!("noc_fleet_points_routed_total{{shard=\"{s}\"}}"))
-                .unwrap_or(0)
-        })
-        .sum();
-    assert_eq!(routed, jobs.len() as u64, "every point routed to a shard");
-    assert_eq!(aggregated.metrics.counter("noc_fleet_shard_loss_total"), None);
-    assert_eq!(aggregated.metrics.gauge("noc_fleet_shards"), Some(2.0));
-    assert_eq!(aggregated.metrics.gauge("noc_fleet_shards_alive"), Some(2.0));
-    assert!(aggregated.shards.iter().all(|sh| sh.alive && sh.engine == "noc-serve"));
-
-    fleet.shutdown().expect("shards shut down");
-    for child in &mut shards {
-        assert!(child.wait().expect("shard exits").success());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Scrapes the `--metrics` Unix endpoint mid-lifetime and validates the
 /// body under the strict exposition checker, both in-process and through
 /// `telemetry_check --prom`.
@@ -351,22 +240,26 @@ fn metrics_endpoint_serves_valid_prometheus_exposition() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `noc_top --once --json` against a live daemon produces snapshot lines
-/// (with the injected `target` field) that `telemetry_check --stats`
-/// accepts across two polls.
+/// `noc_top --once --json` against two live daemons in one call produces
+/// one snapshot line per target (with the injected `target` field), which
+/// `telemetry_check --stats` accepts across two polls.
 #[test]
 fn noc_top_json_feeds_telemetry_check_stats() {
     let dir = scratch_dir("top");
-    let sock = dir.join("serve.sock");
-    let mut daemon = spawn_daemon(&sock, &[]);
-    let mut client = connect_unix(&sock).expect("connect");
-    let jobs = jobs(6);
-    client.submit("top", &jobs).expect("batch");
+    let socks = [dir.join("a.sock"), dir.join("b.sock")];
+    let mut daemons: Vec<Child> = socks.iter().map(|s| spawn_daemon(s, &[])).collect();
+    let mut clients: Vec<_> = socks
+        .iter()
+        .map(|s| connect_unix(s).expect("connect"))
+        .collect();
+    for (client, count) in clients.iter_mut().zip([6, 3]) {
+        client.submit("top", &jobs(count)).expect("batch");
+    }
 
     let mut dump = String::new();
     for _ in 0..2 {
         let out = Command::new(env!("CARGO_BIN_EXE_noc_top"))
-            .arg(&sock)
+            .args(&socks)
             .args(["--once", "--json"])
             .output()
             .expect("run noc_top");
@@ -374,16 +267,21 @@ fn noc_top_json_feeds_telemetry_check_stats() {
         dump.push_str(&String::from_utf8(out.stdout).expect("utf8"));
     }
     let lines: Vec<&str> = dump.lines().collect();
-    assert_eq!(lines.len(), 2, "one snapshot line per poll");
-    for line in &lines {
+    assert_eq!(lines.len(), 4, "one snapshot line per target per poll");
+    for (i, line) in lines.iter().enumerate() {
         let v = JsonValue::parse(line).expect("snapshot line parses");
         assert_eq!(
             v.get("target").and_then(JsonValue::as_str),
-            sock.to_str(),
-            "snapshot carries the injected target"
+            socks[i % 2].to_str(),
+            "snapshot carries the injected target, in argument order"
         );
         let snapshot = StatsSnapshot::from_json(&v).expect("snapshot decodes");
         assert_eq!(snapshot.engine, "noc-serve");
+        assert_eq!(
+            snapshot.metrics.counter("noc_points_completed_total"),
+            Some([6, 3][i % 2]),
+            "each line describes its own daemon"
+        );
         assert_identity(&snapshot);
     }
     let stats_file = dir.join("stats.jsonl");
@@ -395,14 +293,21 @@ fn noc_top_json_feeds_telemetry_check_stats() {
         .expect("run telemetry_check --stats");
     assert!(status.success(), "telemetry_check --stats accepts the dump");
 
-    // A dead target makes --once fail.
-    client.shutdown().expect("shutdown");
-    assert!(daemon.wait().expect("exit").success());
+    // One dead target makes --once fail, even with the other still up.
+    clients[1].shutdown().expect("shutdown");
+    assert!(daemons[1].wait().expect("exit").success());
     let out = Command::new(env!("CARGO_BIN_EXE_noc_top"))
-        .arg(&sock)
+        .args(&socks)
         .args(["--once", "--json"])
         .output()
-        .expect("run noc_top against dead daemon");
-    assert!(!out.status.success(), "unreachable target fails --once");
+        .expect("run noc_top against a dead daemon");
+    assert!(!out.status.success(), "an unreachable target fails --once");
+    assert_eq!(
+        String::from_utf8(out.stdout).expect("utf8").lines().count(),
+        1,
+        "the live target is still reported"
+    );
+    clients[0].shutdown().expect("shutdown");
+    assert!(daemons[0].wait().expect("exit").success());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -39,8 +39,6 @@
 //! - [`metrics`] — live observability: lock-free-where-hot metrics
 //!   registry, versioned `stats` snapshots, slow-point detection and
 //!   Prometheus text exposition,
-//! - [`fleet`] — the sharded sweep fabric: hash routing, per-shard prefix
-//!   merge and summary merging behind the `noc-fleet` coordinator,
 //! - [`config`] — the Table 1 system configuration.
 //!
 //! [DOI 10.1145/2593069.2593165]: https://doi.org/10.1145/2593069.2593165
@@ -72,7 +70,6 @@ pub mod dim;
 pub mod config;
 pub mod controller;
 pub mod experiment;
-pub mod fleet;
 pub mod floorplan;
 pub mod gating;
 pub mod llc;
@@ -95,13 +92,12 @@ pub use controller::{
 };
 pub use convex::is_convex;
 pub use experiment::{Experiment, NetworkMetrics, ThermalVariant};
-pub use fleet::{merge_summaries, shard_of, sub_batch_id, FleetReorder, ShardPlan};
 pub use floorplan::Floorplan;
 pub use gating::GatingPlan;
 pub use llc::LlcAgent;
 pub use metrics::{
-    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ServiceMetrics, ShardHealth, SlowPoint,
-    StageBusyTotals, StatsSnapshot,
+    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ServiceMetrics, SlowPoint, StageBusyTotals,
+    StatsSnapshot,
 };
 pub use runner::{
     ExperimentRunner, PointDetail, ResultCache, RunnerProgress, SyntheticBaseline, SyntheticJob,

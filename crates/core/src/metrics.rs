@@ -14,11 +14,9 @@
 //!
 //! Wire encoding follows `point` events (see [`crate::telemetry`]): u64
 //! counts and histogram buckets are `"0x…"` hex strings, gauge f64s are
-//! hex-encoded **bit patterns** so snapshots merge and compare exactly,
-//! and only human-facing wall-clock fields (`uptime_ms`, slow-point
-//! durations) are plain JSON numbers. Histogram merging is exact: the log
-//! buckets are summed by lower bound, never resampled, so a fleet-level
-//! histogram equals what a single daemon would have recorded.
+//! hex-encoded **bit patterns** so snapshots round-trip and compare
+//! exactly, and only human-facing wall-clock fields (`uptime_ms`,
+//! slow-point durations) are plain JSON numbers.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,8 +199,7 @@ impl MetricsRegistry {
 // ---------------------------------------------------------------------------
 
 /// An immutable copy of a [`StreamingHistogram`]: exact count/sum/min/max
-/// plus the non-empty log buckets as `(lower_bound, count)` pairs. Merging
-/// two snapshots sums buckets by lower bound — exact, never resampled.
+/// plus the non-empty log buckets as `(lower_bound, count)` pairs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Number of observations.
@@ -250,29 +247,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// Merges `other` into `self` exactly: bucket counts are summed by
-    /// lower bound, count/sum add, min/max widen. Because both sides use
-    /// the same bucket layout (fixed `SUB_BITS`), the merge commutes and
-    /// equals the histogram a single observer would have recorded.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum += other.sum;
-        let mut merged: BTreeMap<u64, u64> = self.buckets.iter().copied().collect();
-        for &(lower, n) in &other.buckets {
-            *merged.entry(lower).or_insert(0) += n;
-        }
-        self.buckets = merged.into_iter().collect();
     }
 
     /// Wire encoding: all u64s as hex strings, the u128 sum split into
@@ -379,32 +353,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Merges `other` into `self`: counters and gauges sum by name,
-    /// histograms merge exactly by name. This is the fleet aggregation
-    /// rule — shard metrics are disjoint per shard, so summing counters
-    /// and bucket-merging histograms reproduces what one daemon serving
-    /// the whole batch would report.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        let mut counters: BTreeMap<String, u64> = self.counters.drain(..).collect();
-        for (name, v) in &other.counters {
-            *counters.entry(name.clone()).or_insert(0) += v;
-        }
-        self.counters = counters.into_iter().collect();
-        let mut gauges: BTreeMap<String, f64> = self.gauges.drain(..).collect();
-        for (name, v) in &other.gauges {
-            *gauges.entry(name.clone()).or_insert(0.0) += v;
-        }
-        self.gauges = gauges.into_iter().collect();
-        let mut histograms: BTreeMap<String, HistogramSnapshot> =
-            self.histograms.drain(..).collect();
-        for (name, h) in &other.histograms {
-            histograms.entry(name.clone()).or_default().merge(h);
-        }
-        self.histograms = histograms.into_iter().collect();
-    }
-
     /// Wire encoding: counters as hex strings, gauges as hex **bit
-    /// patterns** (so merging and comparison stay exact), histograms per
+    /// patterns** (so round trips and comparison stay exact), histograms per
     /// [`HistogramSnapshot::to_json`].
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Obj(vec![
@@ -556,89 +506,23 @@ impl SlowPointLog {
 }
 
 // ---------------------------------------------------------------------------
-// Shard health & the versioned stats snapshot
+// The versioned stats snapshot
 // ---------------------------------------------------------------------------
-
-/// Liveness and version info for one shard, as observed by the fleet
-/// coordinator at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardHealth {
-    /// Shard index.
-    pub shard: usize,
-    /// The shard's socket path.
-    pub socket: String,
-    /// Whether the shard answered the `stats` poll.
-    pub alive: bool,
-    /// The shard's engine name (empty when unreachable).
-    pub engine: String,
-    /// The shard's code version (empty when unreachable).
-    pub code_version: String,
-    /// The shard's uptime in milliseconds (0 when unreachable).
-    pub uptime_ms: f64,
-}
-
-impl ShardHealth {
-    /// Wire encoding.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("shard".into(), JsonValue::Num(self.shard as f64)),
-            ("socket".into(), JsonValue::Str(self.socket.clone())),
-            ("alive".into(), JsonValue::Bool(self.alive)),
-            ("engine".into(), JsonValue::Str(self.engine.clone())),
-            ("code_version".into(), JsonValue::Str(self.code_version.clone())),
-            ("uptime_ms".into(), JsonValue::Num(self.uptime_ms)),
-        ])
-    }
-
-    /// Decodes [`Self::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<ShardHealth, String> {
-        Ok(ShardHealth {
-            shard: v
-                .get("shard")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard health: bad or missing \"shard\"")? as usize,
-            socket: v
-                .get("socket")
-                .and_then(JsonValue::as_str)
-                .ok_or("shard health: bad or missing \"socket\"")?
-                .to_string(),
-            alive: v
-                .get("alive")
-                .and_then(JsonValue::as_bool)
-                .ok_or("shard health: bad or missing \"alive\"")?,
-            engine: v
-                .get("engine")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            code_version: v
-                .get("code_version")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            uptime_ms: v.get("uptime_ms").and_then(JsonValue::as_f64).unwrap_or(0.0),
-        })
-    }
-}
 
 /// Schema version emitted in every [`StatsSnapshot`]; parsers reject
 /// versions they don't know.
 pub const STATS_SCHEMA_VERSION: u64 = 1;
 
+/// The engine name every snapshot and `pong` carries.
+pub const ENGINE_NAME: &str = "noc-serve";
+
 /// A versioned, self-describing snapshot of one engine's metrics — the
-/// payload of the `stats` wire verb. Fleet coordinators aggregate shard
-/// snapshots by merging `metrics` and concatenating `slow_points`, and
-/// describe each shard in `shards`.
+/// payload of the `stats` wire verb.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
     /// Snapshot schema version ([`STATS_SCHEMA_VERSION`]).
     pub schema: u64,
-    /// Engine name: `"noc-serve"` for a single daemon, `"noc-fleet"` for a
-    /// fleet coordinator.
+    /// Engine name; always [`ENGINE_NAME`].
     pub engine: String,
     /// The engine's code version (cache stamp + experiment tag).
     pub code_version: String,
@@ -648,8 +532,6 @@ pub struct StatsSnapshot {
     pub metrics: MetricsSnapshot,
     /// Recent slow points, oldest first.
     pub slow_points: Vec<SlowPoint>,
-    /// Per-shard health (empty for a single daemon).
-    pub shards: Vec<ShardHealth>,
 }
 
 impl StatsSnapshot {
@@ -665,15 +547,12 @@ impl StatsSnapshot {
                 "slow_points".into(),
                 JsonValue::Arr(self.slow_points.iter().map(SlowPoint::to_json).collect()),
             ),
-            (
-                "shards".into(),
-                JsonValue::Arr(self.shards.iter().map(ShardHealth::to_json).collect()),
-            ),
         ])
     }
 
     /// Decodes [`Self::to_json`] output. Unknown extra fields are ignored
-    /// (tools may inject e.g. a `"target"` tag when dumping snapshots).
+    /// (tools may inject e.g. a `"target"` tag when dumping snapshots, and
+    /// dumps from older builds may carry fields this one no longer emits).
     ///
     /// # Errors
     ///
@@ -702,10 +581,6 @@ impl StatsSnapshot {
         {
             slow_points.push(SlowPoint::from_json(p)?);
         }
-        let mut shards = Vec::new();
-        for sh in v.get("shards").and_then(JsonValue::as_array).unwrap_or(&[]) {
-            shards.push(ShardHealth::from_json(sh)?);
-        }
         Ok(StatsSnapshot {
             schema,
             engine: s("engine")?,
@@ -718,7 +593,6 @@ impl StatsSnapshot {
                 v.get("metrics").ok_or("stats: missing \"metrics\"")?,
             )?,
             slow_points,
-            shards,
         })
     }
 }
@@ -732,7 +606,7 @@ impl StatsSnapshot {
 /// [`StageCycles`] counters. Shared (via `Arc`) between the experiment
 /// runner, which folds each finished run in, and the stats snapshot, which
 /// exposes the totals as `noc_sim_stage_busy_cycles{stage="..."}` gauges so
-/// `noc_top` can show which pipeline stage dominates the fleet's work.
+/// `noc_top` can show which pipeline stage dominates the daemon's work.
 /// All operations are relaxed atomics — statistics, not synchronization.
 #[derive(Debug, Default)]
 pub struct StageBusyTotals {
@@ -801,7 +675,6 @@ pub const SLOW_POINT_LOG_CAP: usize = 32;
 pub struct ServiceMetrics {
     registry: MetricsRegistry,
     started: Instant,
-    engine: String,
     code_version: String,
     slow_factor: f64,
     slow_log: SlowPointLog,
@@ -822,8 +695,8 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Instruments for engine `engine` at version `code_version`.
-    pub fn new(engine: &str, code_version: &str) -> ServiceMetrics {
+    /// Instruments for an engine at version `code_version`.
+    pub fn new(code_version: &str) -> ServiceMetrics {
         let registry = MetricsRegistry::new();
         let c = |name: &str| registry.counter(name);
         ServiceMetrics {
@@ -840,7 +713,6 @@ impl ServiceMetrics {
             batch_wall_ms: registry.histogram("noc_batch_wall_ms"),
             registry,
             started: Instant::now(),
-            engine: engine.to_string(),
             code_version: code_version.to_string(),
             slow_factor: DEFAULT_SLOW_POINT_FACTOR,
             slow_log: SlowPointLog::new(SLOW_POINT_LOG_CAP),
@@ -970,12 +842,11 @@ impl ServiceMetrics {
         metrics.set_gauge("noc_points_in_flight", (submitted - done) as f64);
         StatsSnapshot {
             schema: STATS_SCHEMA_VERSION,
-            engine: self.engine.clone(),
+            engine: ENGINE_NAME.to_string(),
             code_version: self.code_version.clone(),
             uptime_ms: self.uptime_ms(),
             metrics,
             slow_points: self.slow_log.to_vec(),
-            shards: Vec::new(),
         }
     }
 }
@@ -988,8 +859,7 @@ impl ServiceMetrics {
 /// Counters and gauges map directly; histograms are rendered as `summary`
 /// series (pre-computed p50/p90/p99 quantiles plus `_sum`/`_count`) because
 /// the log buckets don't align with Prometheus' cumulative `le` convention.
-/// Also emits `noc_info{engine,code_version} 1` and `noc_uptime_ms`, and
-/// one `noc_shard_up{shard}` gauge per known shard.
+/// Also emits `noc_info{engine,code_version} 1` and `noc_uptime_ms`.
 pub fn render_prometheus(s: &StatsSnapshot) -> String {
     let mut out = String::new();
     let mut typed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
@@ -1023,14 +893,6 @@ pub fn render_prometheus(s: &StatsSnapshot) -> String {
         }
         out.push_str(&format!("{name}_sum {}\n", fmt_value(h.sum as f64)));
         out.push_str(&format!("{name}_count {}\n", h.count));
-    }
-    for sh in &s.shards {
-        type_line(&mut out, "noc_shard_up", "gauge");
-        out.push_str(&format!(
-            "noc_shard_up{{shard=\"{}\"}} {}\n",
-            sh.shard,
-            u8::from(sh.alive)
-        ));
     }
     out
 }
@@ -1284,28 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_merge_is_exact() {
-        // Two disjoint recorders vs one recorder seeing everything: the
-        // merged snapshot must be identical, buckets included.
-        let (a, b, whole) = (
-            HistogramHandle::new(),
-            HistogramHandle::new(),
-            HistogramHandle::new(),
-        );
-        for v in [1u64, 3, 7, 900, 65536, 65537] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [2u64, 7, 1_000_000, 40] {
-            b.record(v);
-            whole.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, whole.snapshot());
-    }
-
-    #[test]
     fn histogram_snapshot_round_trips_through_json() {
         let h = HistogramHandle::new();
         for v in [0u64, 1, 2, 31, 32, 1000, u64::MAX] {
@@ -1333,27 +1173,8 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_merge_sums_and_merges() {
-        let (ra, rb) = (MetricsRegistry::new(), MetricsRegistry::new());
-        ra.counter("noc_a_total").add(3);
-        rb.counter("noc_a_total").add(4);
-        rb.counter("noc_b_total").add(1);
-        ra.gauge("noc_g").set(1.5);
-        rb.gauge("noc_g").set(2.0);
-        ra.histogram("noc_h").record(5);
-        rb.histogram("noc_h").record(500);
-        let mut merged = ra.snapshot();
-        merged.merge(&rb.snapshot());
-        assert_eq!(merged.counter("noc_a_total"), Some(7));
-        assert_eq!(merged.counter("noc_b_total"), Some(1));
-        assert_eq!(merged.gauge("noc_g"), Some(3.5));
-        let h = merged.histogram("noc_h").unwrap();
-        assert_eq!((h.count, h.sum, h.min, h.max), (2, 505, 5, 500));
-    }
-
-    #[test]
     fn stats_snapshot_round_trips_and_rejects_unknown_schema() {
-        let mut m = ServiceMetrics::new("noc-serve", "1.2.3+cache-v1+tag");
+        let mut m = ServiceMetrics::new("1.2.3+cache-v1+tag");
         m.set_slow_point_factor(3.0);
         m.count_request("submit");
         m.batch_admitted(5);
@@ -1363,18 +1184,20 @@ mod tests {
         // 100x the mean → flagged.
         m.point_completed(0xdead, 0xbeef, false, 100.0);
         m.point_failed();
-        let mut snap = m.snapshot();
-        snap.shards.push(ShardHealth {
-            shard: 0,
-            socket: "/tmp/s0.sock".into(),
-            alive: true,
-            engine: "noc-serve".into(),
-            code_version: "1.2.3".into(),
-            uptime_ms: 12.5,
-        });
+        let snap = m.snapshot();
         let line = snap.to_json().to_json();
         let parsed = StatsSnapshot::from_json(&JsonValue::parse(&line).unwrap()).unwrap();
         assert_eq!(parsed, snap);
+        // Fields this build does not know are ignored, whatever their shape.
+        let mut tagged = snap.to_json();
+        if let JsonValue::Obj(pairs) = &mut tagged {
+            pairs.push(("target".into(), JsonValue::Str("/tmp/a.sock".into())));
+            pairs.push((
+                "legacy".into(),
+                JsonValue::Arr(vec![JsonValue::Obj(Vec::new())]),
+            ));
+        }
+        assert_eq!(StatsSnapshot::from_json(&tagged).unwrap(), snap);
         assert_eq!(parsed.slow_points.len(), 1);
         assert_eq!(parsed.slow_points[0].config_hash, 0xdead);
         // in_flight derived: 6 submitted later... 5 admitted + 1 extra
@@ -1395,7 +1218,7 @@ mod tests {
 
     #[test]
     fn slow_point_detector_needs_history_and_excludes_hits() {
-        let m = ServiceMetrics::new("noc-serve", "v");
+        let m = ServiceMetrics::new("v");
         // First four uncached points never flag, however extreme.
         for i in 0..4 {
             m.point_completed(i, i, false, 1000.0 * (i + 1) as f64);
@@ -1430,7 +1253,7 @@ mod tests {
 
     #[test]
     fn prometheus_render_passes_the_strict_validator() {
-        let m = ServiceMetrics::new("noc-serve", "1.0.0+cache-v1+quick");
+        let m = ServiceMetrics::new("1.0.0+cache-v1+quick");
         m.count_request("submit");
         m.count_request("stats");
         m.batch_admitted(2);
@@ -1438,21 +1261,11 @@ mod tests {
         m.point_completed(3, 4, true, 0.0);
         m.batch_done(3.0);
         m.registry().gauge("noc_queue_depth").set(0.0);
-        let mut snap = m.snapshot();
-        snap.shards.push(ShardHealth {
-            shard: 1,
-            socket: "/tmp/x".into(),
-            alive: false,
-            engine: String::new(),
-            code_version: String::new(),
-            uptime_ms: 0.0,
-        });
-        let text = render_prometheus(&snap);
+        let text = render_prometheus(&m.snapshot());
         let samples = validate_prometheus(&text).expect("render must satisfy the validator");
         assert!(samples >= 10, "expected a rich exposition, got {samples} samples");
         assert!(text.contains("# TYPE noc_point_latency_us summary"));
         assert!(text.contains("noc_requests_total{verb=\"submit\"} 1"));
-        assert!(text.contains("noc_shard_up{shard=\"1\"} 0"));
     }
 
     #[test]
@@ -1480,7 +1293,7 @@ mod tests {
 
     #[test]
     fn uptime_is_monotone() {
-        let m = ServiceMetrics::new("noc-serve", "v");
+        let m = ServiceMetrics::new("v");
         let a = m.uptime_ms();
         let b = m.uptime_ms();
         assert!(b >= a && a >= 0.0);

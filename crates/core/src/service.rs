@@ -48,7 +48,7 @@ use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 
 use crate::experiment::{Experiment, NetworkMetrics};
-use crate::metrics::{ServiceMetrics, StatsSnapshot};
+use crate::metrics::{ServiceMetrics, StatsSnapshot, ENGINE_NAME};
 use crate::runner::{lock_recover, ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob};
 use crate::telemetry::{JsonValue, ManifestPoint, RunManifest};
 
@@ -561,9 +561,9 @@ pub enum ServiceResponse {
         /// Milliseconds the engine has been up.
         uptime_ms: f64,
         /// The engine's code version (cache stamp + experiment tag), so
-        /// clients can detect version skew across a fleet.
+        /// clients can detect version skew between daemons.
         code_version: String,
-        /// Engine name: `"noc-serve"` or `"noc-fleet"`.
+        /// Engine name; always [`ENGINE_NAME`].
         engine: String,
     },
     /// Answer to `stats`: a versioned live-metrics snapshot.
@@ -789,7 +789,7 @@ impl ServiceResponse {
                     .ok_or("cancelled missing active")?,
             }),
             // Pre-observability daemons answered a bare {"type":"pong"};
-            // parse leniently so mixed-version fleets stay probeable.
+            // parse leniently so daemons of mixed versions stay probeable.
             Some("pong") => Ok(ServiceResponse::Pong {
                 uptime_ms: v.get("uptime_ms").and_then(JsonValue::as_f64).unwrap_or(0.0),
                 code_version: v
@@ -1303,7 +1303,7 @@ impl SweepService {
     /// `cache`. The cache's version stamp must be dedicated to this
     /// experiment configuration (see [`code_version`]).
     pub fn new(experiment: Experiment, runner: ExperimentRunner, cache: DiskResultCache) -> Self {
-        let metrics = ServiceMetrics::new("noc-serve", cache.version());
+        let metrics = ServiceMetrics::new(cache.version());
         SweepService {
             experiment,
             runner,
@@ -1482,7 +1482,7 @@ impl SweepService {
                 emit(ServiceResponse::Pong {
                     uptime_ms: self.metrics.uptime_ms(),
                     code_version: self.cache.version().to_string(),
-                    engine: "noc-serve".to_string(),
+                    engine: ENGINE_NAME.to_string(),
                 });
                 ServiceControl::Continue
             }
@@ -1813,19 +1813,18 @@ const EVENT_FIELDS: FieldTable = &[
     ("done", "see done table", "batch finished; always the request's last event"),
     ("busy", "id, pending, limit", "batch rejected by backpressure; no `accepted`/`done` follows"),
     ("cancelled", "id, active", "answer to `cancel`; `active` is whether the batch was in flight"),
-    ("pong", "uptime_ms, code_version, engine", "answer to `ping`; carries the engine's identity so clients detect version skew across a fleet"),
+    ("pong", "uptime_ms, code_version, engine", "answer to `ping`; carries the engine's identity so clients detect version skew between daemons"),
     ("stats", "snapshot", "answer to `stats`: a versioned live-metrics snapshot (fields below)"),
     ("error", "id?, message", "request could not be parsed or served"),
 ];
 
 const STATS_FIELDS: FieldTable = &[
     ("schema", "number", "snapshot schema version (currently 1); clients must reject unknown versions"),
-    ("engine", "string", "`\"noc-serve\"` for a single daemon, `\"noc-fleet\"` for a fleet coordinator"),
+    ("engine", "string", "always `\"noc-serve\"`"),
     ("code_version", "string", "the engine's code-version stamp (same format as cache records)"),
     ("uptime_ms", "number", "milliseconds since the engine started"),
     ("metrics", "object", "`counters` (name → hex count), `gauges` (name → hex f64 bit pattern), `histograms` (name → {count, sum_hi, sum_lo, min, max, buckets: [[lower, count]…]}, all hex)"),
     ("slow_points", "array", "recent slow points, oldest first: `config_hash`/`seed` (hex), `duration_ms`, `mean_ms`, `factor`"),
-    ("shards", "array", "per-shard health (fleet only): `shard`, `socket`, `alive`, `engine`, `code_version`, `uptime_ms`"),
 ];
 
 const CACHE_RECORD_FIELDS: FieldTable = &[
@@ -2047,7 +2046,7 @@ mod tests {
             },
             ServiceResponse::Stats {
                 snapshot: {
-                    let m = ServiceMetrics::new("noc-serve", &code_version("quick"));
+                    let m = ServiceMetrics::new(&code_version("quick"));
                     m.batch_admitted(3);
                     m.point_completed(0xabc, 0xdef, false, 2.5);
                     m.snapshot()
