@@ -11,6 +11,7 @@ use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::controller::SprintPolicy;
 use noc_sprinting::experiment::{Experiment, ThermalVariant};
+use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_workload::profile::{by_name, parsec_suite};
 use noc_workload::speedup::{ExecutionModel, OPTIMAL_TOLERANCE};
 
@@ -72,9 +73,16 @@ fn bench_fig11_sim_point(c: &mut Criterion) {
     let e = Experiment::quick();
     c.bench_function("fig11_synthetic_point_4core", |b| {
         b.iter(|| {
-            let spec = TopologySpec::default();
-            e.run_synthetic_on(spec, 4, true, TrafficPattern::UniformRandom, 0.1, 7)
-                .unwrap()
+            SyntheticJob {
+                topology: TopologySpec::default(),
+                level: 4,
+                pattern: TrafficPattern::UniformRandom,
+                rate: 0.1,
+                seed: 7,
+                baseline: SyntheticBaseline::NocSprinting,
+            }
+            .run(&e)
+            .unwrap()
         })
     });
 }

@@ -1,61 +1,60 @@
-//! `explore` — run a custom sprint-network operating point from the
+//! `explore` — run custom sprint-network operating points from the
 //! command line.
 //!
 //! ```text
-//! explore [--mesh WxH] [--master N] [--level K] [--rate R]
+//! explore [--topology NAME] [--master N] [--level K] [--rate R]
 //!         [--pattern uniform|transpose|bitcomp|tornado|shuffle|hotspot|neighbor]
 //!         [--full] [--seed S] [--loads R1,R2,...] [--workers W]
 //!         [--telemetry DIR] [--service SOCKET]
 //! ```
 //!
-//! By default: paper 4x4 mesh, master 0, level 4, uniform at 0.1
-//! flits/cycle/node under NoC-sprinting (CDOR + gating); `--full` runs the
-//! fully powered mesh with XY routing instead. `--loads` switches from a
-//! single operating point to a latency-vs-load sweep executed on the
-//! parallel `ExperimentRunner` (`--workers 1` forces the serial path; the
-//! curve is bit-identical at any worker count).
+//! Every operating point is a `SyntheticJob`, the same unit the figure
+//! binaries and `noc_serve` run. By default: the paper 4x4 mesh
+//! (`--topology` takes any wire name from TOPOLOGY.md, e.g. `mesh8x8` or
+//! `circ16s5`), master 0, level 4, uniform at 0.1 flits/cycle/node under
+//! NoC-sprinting (gated region routing + gating). `--full` runs the fully
+//! powered network under its full routing instead, every node injecting
+//! (the `spread_aggregate` job at level N). `--loads` turns the single point
+//! into a latency-vs-load sweep; point `i` is seeded with
+//! `point_seed(seed, i)`. Points run as one batch on the parallel
+//! `ExperimentRunner` (`--workers 1` forces the serial path; the rows are
+//! bit-identical at any worker count).
 //!
 //! `--telemetry DIR` (or `NOC_BENCH_TELEMETRY=DIR`) additionally attaches a
-//! [`TimeSeriesObserver`] to every sweep point and writes
+//! [`TimeSeriesObserver`] to every point and writes
 //! `explore.manifest.jsonl`, `explore.trace.json` (Chrome Trace Event
 //! Format — load in `chrome://tracing`) and one
 //! `explore.point<N>.timeseries.csv` per operating point. Telemetry only
-//! observes: the printed curve is bit-identical with it on or off.
+//! observes: the printed rows are bit-identical with it on or off.
 //!
-//! `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) submits the operating
-//! point(s) to a running `noc_serve` daemon instead of simulating locally,
-//! so repeated explorations hit the daemon's persistent cache. The daemon
-//! owns the experiment configuration, so this mode requires the defaults
-//! it serves: paper 4x4 mesh, master 0, no `--full`. See `SERVICE.md`.
+//! `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) submits the same jobs to
+//! a running `noc_serve` daemon instead of simulating locally, so repeated
+//! explorations hit the daemon's persistent cache. The daemon owns the
+//! experiment configuration, so this mode requires master 0 and cannot
+//! write telemetry. See `SERVICE.md`.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use noc_sim::geometry::NodeId;
-use noc_sim::network::Network;
-use noc_sim::probe::TimeSeriesObserver;
-use noc_sim::routing::{RoutingFunction, XyRouting};
-use noc_sim::sim::{SimConfig, Simulation};
-use noc_sim::sweep::{point_seed, LoadSweep, SweepReport};
-use noc_sim::topology::Mesh2D;
-use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
+use noc_sim::probe::{Probe, TimeSeriesObserver};
+use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
-use noc_sprinting::cdor::CdorRouting;
-use noc_sprinting::config::SystemConfig;
+use noc_sim::traffic::TrafficPattern;
+use noc_sprinting::controller::SprintController;
+use noc_sprinting::experiment::{Experiment, NetworkMetrics};
 use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
-use noc_sprinting::sprint_topology::SprintSet;
+use noc_sprinting::service::{metric_pairs, pattern_from_name};
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest, SpanRecorder};
 
-/// Per-epoch sampling interval for `--telemetry` sweep observers, in
-/// cycles. `SimConfig::sweep` runs 12k measured cycles, so this yields a
-/// couple dozen samples per point.
+/// Per-epoch sampling interval for `--telemetry` observers, in cycles.
+/// `SimConfig::sweep` runs 12k measured cycles, so this yields a couple
+/// dozen samples per point.
 const EPOCH_INTERVAL: u64 = 500;
 
 #[derive(Debug)]
 struct Args {
-    width: u16,
-    height: u16,
+    topology: TopologySpec,
     master: usize,
     level: usize,
     rate: f64,
@@ -70,8 +69,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        width: 4,
-        height: 4,
+        topology: TopologySpec::default(),
         master: 0,
         level: 4,
         rate: 0.1,
@@ -93,13 +91,11 @@ fn parse_args() -> Result<Args, String> {
                 .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
         };
         match argv[i].as_str() {
-            "--mesh" => {
-                let v = take(&mut i)?;
-                let (w, h) = v
-                    .split_once(['x', 'X'])
-                    .ok_or_else(|| format!("bad mesh {v}, expected WxH"))?;
-                args.width = w.parse().map_err(|e| format!("bad width: {e}"))?;
-                args.height = h.parse().map_err(|e| format!("bad height: {e}"))?;
+            "--topology" => {
+                let spec =
+                    TopologySpec::from_wire_name(&take(&mut i)?).map_err(|e| e.to_string())?;
+                spec.build().map_err(|e| e.to_string())?;
+                args.topology = spec;
             }
             "--master" => args.master = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--level" => args.level = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
@@ -115,7 +111,11 @@ fn parse_args() -> Result<Args, String> {
             "--loads" => {
                 let loads = take(&mut i)?
                     .split(',')
-                    .map(|s| s.trim().parse::<f64>().map_err(|e| format!("bad load: {e}")))
+                    .map(|s| {
+                        s.trim()
+                            .parse::<f64>()
+                            .map_err(|e| format!("bad load: {e}"))
+                    })
                     .collect::<Result<Vec<f64>, String>>()?;
                 if loads.is_empty() || loads.iter().any(|&l| !(l > 0.0 && l <= 1.0)) {
                     return Err("loads must be in (0, 1]".into());
@@ -125,20 +125,10 @@ fn parse_args() -> Result<Args, String> {
             "--telemetry" => args.telemetry = Some(PathBuf::from(take(&mut i)?)),
             "--service" => args.service = Some(PathBuf::from(take(&mut i)?)),
             "--full" => args.full = true,
-            "--pattern" => {
-                args.pattern = match take(&mut i)?.as_str() {
-                    "uniform" => TrafficPattern::UniformRandom,
-                    "transpose" => TrafficPattern::Transpose,
-                    "bitcomp" => TrafficPattern::BitComplement,
-                    "tornado" => TrafficPattern::Tornado,
-                    "shuffle" => TrafficPattern::Shuffle,
-                    "hotspot" => TrafficPattern::Hotspot { hot_fraction: 0.3 },
-                    "neighbor" => TrafficPattern::NearestNeighbor,
-                    other => return Err(format!("unknown pattern {other}")),
-                };
-            }
+            // Hotspot traffic sends 30% of packets to the hot node.
+            "--pattern" => args.pattern = pattern_from_name(&take(&mut i)?, Some(0.3))?,
             "--help" | "-h" => {
-                return Err("usage: explore [--mesh WxH] [--master N] [--level K] \
+                return Err("usage: explore [--topology NAME] [--master N] [--level K] \
                             [--rate R] [--pattern P] [--full] [--seed S] \
                             [--loads R1,R2,...] [--workers W] [--telemetry DIR] \
                             [--service SOCKET]"
@@ -154,7 +144,48 @@ fn parse_args() -> Result<Args, String> {
     if args.service.is_none() {
         args.service = std::env::var_os("NOC_SERVE_SOCKET").map(PathBuf::from);
     }
+    let nodes = args.topology.len();
+    if args.master >= nodes || args.level == 0 || args.level > nodes {
+        return Err(format!(
+            "master/level out of range for {}",
+            args.topology.wire_name()
+        ));
+    }
+    if args.service.is_some() && args.master != 0 {
+        return Err("--service serves the daemon's experiment (master 0); \
+                    drop --master or run locally"
+            .into());
+    }
+    if args.service.is_some() && args.telemetry.is_some() {
+        return Err("--service cannot write telemetry: the daemon runs the points".into());
+    }
     Ok(args)
+}
+
+/// The operating points to run: one per `--loads` entry, or the single
+/// `--rate` point.
+fn jobs(args: &Args) -> Vec<SyntheticJob> {
+    let (level, baseline) = if args.full {
+        (args.topology.len(), SyntheticBaseline::SpreadAggregate)
+    } else {
+        (args.level, SyntheticBaseline::NocSprinting)
+    };
+    let job = |rate, seed| SyntheticJob {
+        topology: args.topology,
+        level,
+        pattern: args.pattern,
+        rate,
+        seed,
+        baseline,
+    };
+    match &args.loads {
+        Some(loads) => loads
+            .iter()
+            .enumerate()
+            .map(|(i, &rate)| job(rate, point_seed(args.seed, i)))
+            .collect(),
+        None => vec![job(args.rate, args.seed)],
+    }
 }
 
 fn main() {
@@ -165,132 +196,44 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mesh = match Mesh2D::new(args.width, args.height) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    if args.master >= mesh.len() || args.level == 0 || args.level > mesh.len() {
-        eprintln!("master/level out of range for {}x{}", args.width, args.height);
-        std::process::exit(2);
-    }
-    let sys = SystemConfig::paper();
-    let set = SprintSet::new(mesh, NodeId(args.master), args.level);
+    let jobs = jobs(&args);
+    let level = jobs[0].level;
     println!(
-        "mesh {}x{}, master {}, level {} ({} routers gated), {} @ {} flits/cyc/node, {}",
-        args.width,
-        args.height,
+        "topology {}, master {}, level {} ({} routers gated), {} @ {} flits/cyc/node, {}",
+        args.topology.wire_name(),
         args.master,
-        args.level,
-        mesh.len() - args.level,
-        if args.full { "full mesh + XY" } else { "NoC-sprinting (CDOR + gating)" },
+        level,
+        args.topology.len() - level,
+        if args.full {
+            "fully powered + full routing"
+        } else {
+            "NoC-sprinting (gated routing + gating)"
+        },
         args.rate,
         format_args!("pattern {:?}", args.pattern),
     );
-
-    if let Some(socket) = args.service.clone() {
-        run_service_mode(&args, &socket);
-        return;
-    }
-
-    if let Some(loads) = args.loads.clone() {
-        run_sweep_mode(&args, mesh, &set, loads);
-        return;
-    }
-
-    let (net, placement) = if args.full {
-        (
-            Network::new(mesh, sys.router, Box::new(XyRouting)).expect("network"),
-            Placement::full(&mesh),
-        )
-    } else {
-        let mut net =
-            Network::new(mesh, sys.router, Box::new(CdorRouting::new(&set))).expect("network");
-        net.set_power_mask(set.mask());
-        (
-            net,
-            Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement"),
-        )
+    let metrics = match &args.service {
+        Some(socket) => run_service(&jobs, socket),
+        None => run_local(&args, &jobs),
     };
-    let traffic = match TrafficGen::new(args.pattern, placement, args.rate, sys.packet_len, args.seed)
-    {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("traffic setup failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    match Simulation::new(net, traffic, SimConfig::sweep()).run() {
-        Ok(out) => {
-            println!(
-                "packets delivered: {} ({} flits); saturated: {}",
-                out.stats.packets_delivered, out.stats.flits_delivered, out.stats.saturated
-            );
-            println!(
-                "avg packet latency:  {:8.2} cycles (p99 {})",
-                out.stats.avg_packet_latency(),
-                out.stats
-                    .packet_latency
-                    .quantile(0.99)
-                    .map_or("-".into(), |v| v.to_string())
-            );
-            println!(
-                "avg network latency: {:8.2} cycles",
-                out.stats.avg_network_latency()
-            );
-            println!(
-                "accepted throughput: {:8.3} flits/cycle/node",
-                out.stats.accepted_throughput()
-            );
-        }
-        Err(e) => {
-            eprintln!("simulation failed: {e}");
-            std::process::exit(1);
-        }
+    println!(
+        "{:>8} {:>14} {:>14} {:>10} {:>5}",
+        "offered", "pkt lat (cyc)", "net lat (cyc)", "accepted", "sat"
+    );
+    for (job, m) in jobs.iter().zip(&metrics) {
+        println!(
+            "{:8.3} {:14.2} {:14.2} {:10.3} {:>5}",
+            job.rate,
+            m.avg_packet_latency,
+            m.avg_network_latency,
+            m.accepted_throughput,
+            if m.saturated { "yes" } else { "no" }
+        );
     }
 }
 
-/// `--service` mode: submit the operating point(s) to a `noc_serve`
-/// daemon instead of simulating in-process. The daemon evaluates jobs
-/// against *its* experiment configuration, so flags that would change the
-/// local world (`--full`, a non-default mesh or master) are rejected
-/// rather than silently ignored.
-fn run_service_mode(args: &Args, socket: &std::path::Path) {
-    if args.full {
-        eprintln!("--service cannot serve --full: the daemon runs the sprinting configuration");
-        std::process::exit(2);
-    }
-    if (args.width, args.height) != (4, 4) || args.master != 0 {
-        eprintln!(
-            "--service serves the daemon's experiment (paper 4x4 mesh, master 0); \
-             drop --mesh/--master or run locally"
-        );
-        std::process::exit(2);
-    }
-    let jobs: Vec<SyntheticJob> = match &args.loads {
-        Some(loads) => loads
-            .iter()
-            .enumerate()
-            .map(|(i, &rate)| SyntheticJob {
-                topology: TopologySpec::default(),
-                level: args.level,
-                pattern: args.pattern,
-                rate,
-                seed: point_seed(args.seed, i),
-                baseline: SyntheticBaseline::NocSprinting,
-            })
-            .collect(),
-        None => vec![SyntheticJob {
-            topology: TopologySpec::default(),
-            level: args.level,
-            pattern: args.pattern,
-            rate: args.rate,
-            seed: args.seed,
-            baseline: SyntheticBaseline::NocSprinting,
-        }],
-    };
+/// Submits `jobs` to a `noc_serve` daemon and returns its answers.
+fn run_service(jobs: &[SyntheticJob], socket: &Path) -> Vec<NetworkMetrics> {
     let mut client = match noc_bench::client::connect_unix(socket) {
         Ok(c) => c,
         Err(e) => {
@@ -298,28 +241,13 @@ fn run_service_mode(args: &Args, socket: &std::path::Path) {
             std::process::exit(2);
         }
     };
-    let batch = match client.submit("explore", &jobs) {
+    let batch = match client.submit("explore", jobs) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("service submission failed: {e}");
             std::process::exit(1);
         }
     };
-    println!(
-        "{:>8} {:>14} {:>14} {:>10} {:>5} {:>5}",
-        "offered", "pkt lat (cyc)", "net lat (cyc)", "accepted", "sat", "hit"
-    );
-    for (job, (m, p)) in jobs.iter().zip(batch.metrics.iter().zip(&batch.points)) {
-        println!(
-            "{:8.3} {:14.2} {:14.2} {:10.3} {:>5} {:>5}",
-            job.rate,
-            m.avg_packet_latency,
-            m.avg_network_latency,
-            m.accepted_throughput,
-            if m.saturated { "yes" } else { "no" },
-            if p.cache_hit { "yes" } else { "no" }
-        );
-    }
     eprintln!(
         "[{} points via noc-serve at {}: {} cache hits, daemon wall {:.2} ms]",
         batch.summary.points,
@@ -327,109 +255,55 @@ fn run_service_mode(args: &Args, socket: &std::path::Path) {
         batch.summary.cache_hits,
         batch.summary.wall_ms
     );
+    batch.metrics
 }
 
-/// `--loads` mode: a latency-vs-load sweep over the parallel runner, with
-/// optional telemetry (probes + manifest + Chrome trace) when
-/// `--telemetry DIR` is given.
-fn run_sweep_mode(args: &Args, mesh: Mesh2D, set: &SprintSet, loads: Vec<f64>) {
-    let sys = SystemConfig::paper();
+/// Runs `jobs` in-process as one batch on the parallel runner, with a
+/// [`TimeSeriesObserver`] per point and the telemetry files written under
+/// `--telemetry`.
+fn run_local(args: &Args, jobs: &[SyntheticJob]) -> Vec<NetworkMetrics> {
+    let topo = args.topology.build().expect("validated by parse_args");
+    let experiment = Experiment {
+        controller: SprintController::new(topo, NodeId(args.master)),
+        ..Experiment::paper()
+    };
     let mut runner = match args.workers {
         Some(w) => ExperimentRunner::with_workers(w),
         None => ExperimentRunner::new(),
     };
-    let spans = args.telemetry.as_ref().map(|_| Arc::new(SpanRecorder::new()));
-    if let Some(s) = &spans {
-        runner = runner.with_span_recorder(Arc::clone(s));
-    }
     if noc_bench::progress_from_env() {
         runner = runner.with_echo("explore");
     }
-    let sweep = LoadSweep {
-        topo: mesh.into(),
-        params: sys.router,
-        pattern: args.pattern,
-        packet_len: sys.packet_len,
-        loads,
-        sim_config: SimConfig::sweep(),
-        seed: args.seed,
-    };
-    let placement = if args.full {
-        Placement::full(&mesh)
-    } else {
-        Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement")
-    };
-    let make_routing: Box<dyn Fn() -> Box<dyn RoutingFunction> + Send + Sync> = if args.full {
-        Box::new(|| Box::new(XyRouting))
-    } else {
-        let set = set.clone();
-        Box::new(move || Box::new(CdorRouting::new(&set)))
-    };
+    let observe = args.telemetry.is_some();
+    let spans = observe.then(SpanRecorder::new);
     let started = Instant::now();
-    // With telemetry: the observed path, which attaches one
-    // TimeSeriesObserver per point. Without: the plain (probe-free) path.
-    // Both produce bit-identical reports — probes only observe.
-    let report = if let Some(dir) = &args.telemetry {
-        let observed = runner.run_sweep_observed(&sweep, &placement, make_routing, |_| {
-            TimeSeriesObserver::new(EPOCH_INTERVAL)
-        });
-        match observed {
-            Ok((report, observers)) => {
-                let spans = spans.as_ref().expect("recorder attached with telemetry");
-                if let Err(e) =
-                    write_telemetry(dir, &runner, &sweep, &report, &observers, spans, started)
-                {
-                    eprintln!("telemetry write failed: {e}");
-                    std::process::exit(1);
-                }
-                report
-            }
-            Err(e) => {
-                eprintln!("sweep failed: {e}");
-                std::process::exit(1);
-            }
+    let results = runner.try_run(jobs, |i, job| {
+        let start = Instant::now();
+        let mut observer = observe.then(|| TimeSeriesObserver::new(EPOCH_INTERVAL));
+        let m = job.run_observed(&experiment, observer.as_mut().map(|o| o as &mut dyn Probe))?;
+        if let Some(spans) = &spans {
+            let (seed, hash) = (Some(job.seed), Some(job.cache_key()));
+            spans.record("explore", i, start, Instant::now(), false, seed, hash);
         }
-    } else {
-        match runner.run_sweep(&sweep, &placement, make_routing) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("sweep failed: {e}");
-                std::process::exit(1);
-            }
+        Ok::<_, noc_sim::error::SimError>((m, observer))
+    });
+    let (metrics, observers): (Vec<_>, Vec<_>) = match results {
+        Ok(r) => r.into_iter().unzip(),
+        Err(e) => {
+            eprintln!("simulation failed: {e}");
+            std::process::exit(1);
         }
     };
-    println!(
-        "{:>8} {:>14} {:>14} {:>10} {:>5}",
-        "offered", "pkt lat (cyc)", "net lat (cyc)", "accepted", "sat"
-    );
-    for p in &report.points {
-        println!(
-            "{:8.3} {:14.2} {:14.2} {:10.3} {:>5}",
-            p.offered,
-            p.packet_latency,
-            p.network_latency,
-            p.accepted,
-            if p.saturated { "yes" } else { "no" }
+    if let (Some(dir), Some(spans)) = (&args.telemetry, &spans) {
+        let observers: Vec<_> = observers.into_iter().flatten().collect();
+        let written = write_telemetry(
+            dir, &runner, args.seed, jobs, &metrics, &observers, spans, started,
         );
+        if let Err(e) = written {
+            eprintln!("telemetry write failed: {e}");
+            std::process::exit(1);
+        }
     }
-    println!(
-        "zero-load latency: {}",
-        report
-            .zero_load_latency()
-            .map_or("-".to_string(), |v| format!("{v:.2} cyc"))
-    );
-    println!(
-        "saturation onset:  {}",
-        report
-            .saturation_onset()
-            .map_or("none in sweep".to_string(), |v| format!("{v:.3}"))
-    );
-    println!(
-        "peak accepted:     {}",
-        report
-            .peak_accepted()
-            .map_or("-".to_string(), |v| format!("{v:.3} flits/cyc/node"))
-    );
     let snap = runner.progress().snapshot();
     eprintln!(
         "[{} points on {} workers, busy {:.2?}]",
@@ -437,56 +311,50 @@ fn run_sweep_mode(args: &Args, mesh: Mesh2D, set: &SprintSet, loads: Vec<f64>) {
         runner.workers(),
         snap.busy
     );
+    metrics
 }
 
 /// Writes `explore.manifest.jsonl`, `explore.trace.json` and one
-/// `explore.point<N>.timeseries.csv` per sweep point into `dir`.
+/// `explore.point<N>.timeseries.csv` per point into `dir`. Each point's
+/// config hash is its job's cache key, so the manifest joins the daemon's
+/// point stream and cache.
+#[allow(clippy::too_many_arguments)]
 fn write_telemetry(
-    dir: &PathBuf,
+    dir: &Path,
     runner: &ExperimentRunner,
-    sweep: &LoadSweep,
-    report: &SweepReport,
+    base_seed: u64,
+    jobs: &[SyntheticJob],
+    metrics: &[NetworkMetrics],
     observers: &[TimeSeriesObserver],
     spans: &SpanRecorder,
     started: Instant,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     // Per-point wall durations come from the recorded spans.
-    let mut dur_ms = vec![0.0f64; report.points.len()];
+    let mut dur_ms = vec![0.0f64; jobs.len()];
     for s in spans.spans() {
         if let Some(d) = dur_ms.get_mut(s.index) {
             *d = s.dur_us as f64 / 1e3;
         }
     }
-    let points: Vec<ManifestPoint> = report
-        .points
+    let points: Vec<ManifestPoint> = jobs
         .iter()
+        .zip(metrics)
         .enumerate()
-        .map(|(i, p)| ManifestPoint {
+        .map(|(i, (job, m))| ManifestPoint {
             index: i,
-            seed: point_seed(sweep.seed, i),
-            config_hash: RunManifest::combine_hashes([
-                sweep.seed,
-                i as u64,
-                sweep.loads[i].to_bits(),
-                u64::from(sweep.packet_len),
-            ]),
+            seed: job.seed,
+            config_hash: job.cache_key(),
             cache_hit: false,
             duration_ms: dur_ms[i],
-            metrics: vec![
-                ("offered".to_string(), p.offered),
-                ("packet_latency".to_string(), p.packet_latency),
-                ("network_latency".to_string(), p.network_latency),
-                ("accepted".to_string(), p.accepted),
-                ("saturated".to_string(), f64::from(u8::from(p.saturated))),
-            ],
+            metrics: metric_pairs(m),
         })
         .collect();
     let manifest = RunManifest {
         figure: "explore".to_string(),
         config_hash: RunManifest::combine_hashes(points.iter().map(|p| p.config_hash)),
         workers: runner.workers(),
-        base_seed: sweep.seed,
+        base_seed,
         seed_schedule: points.iter().map(|p| p.seed).collect(),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         cache_hits: 0,
@@ -499,7 +367,10 @@ fn write_telemetry(
     std::fs::write(&manifest_path, manifest.to_jsonl())?;
     std::fs::write(&trace_path, spans.chrome_trace())?;
     for (i, obs) in observers.iter().enumerate() {
-        std::fs::write(dir.join(format!("explore.point{i}.timeseries.csv")), obs.to_csv())?;
+        std::fs::write(
+            dir.join(format!("explore.point{i}.timeseries.csv")),
+            obs.to_csv(),
+        )?;
     }
     eprintln!(
         "[telemetry: {}, {} and {} per-point time-series written to {}]",

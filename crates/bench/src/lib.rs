@@ -278,7 +278,7 @@ impl FigureHarness {
     }
 
     /// The underlying runner (for generic [`ExperimentRunner::run`] /
-    /// [`ExperimentRunner::run_sweep`] fan-outs).
+    /// [`ExperimentRunner::try_run`] fan-outs).
     pub fn runner(&self) -> &ExperimentRunner {
         &self.runner
     }

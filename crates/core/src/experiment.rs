@@ -8,8 +8,9 @@ use noc_power::router::{RouterConfig, RouterPowerModel};
 use noc_power::tech::{OperatingPoint, TechNode};
 use noc_sim::error::SimError;
 use noc_sim::network::{GatingMode, Network};
+use noc_sim::probe::Probe;
 use noc_sim::sim::{SimConfig, SimOutcome, Simulation};
-use noc_sim::topology::{Topo, TopologySpec};
+use noc_sim::topology::Topo;
 use noc_sim::traffic::{BurstSchedule, Placement, TrafficGen, TrafficPattern};
 use noc_thermal::grid::{TemperatureField, ThermalGrid};
 use noc_thermal::sprint::SprintThermalModel;
@@ -163,7 +164,7 @@ impl Experiment {
             // would schedule), but the full network stays powered.
             SprintPolicy::NonSprinting | SprintPolicy::NaiveFineGrained => (active()?, None),
         };
-        self.run_placed_on(topo.clone(), placement, gated, pattern, rate, None, seed)
+        self.run_placed_on(topo.clone(), placement, gated, pattern, rate, seed, None)
     }
 
     /// Like [`Experiment::run_network`], but the benchmark's
@@ -195,86 +196,24 @@ impl Experiment {
             }
             _ => (Placement::full(&**topo), None),
         };
-        self.run_placed_on(topo.clone(), placement, gated, pattern, rate, None, seed)
-    }
-
-    /// Runs a synthetic-traffic operating point for Fig. 11 on the topology
-    /// `spec` (see TOPOLOGY.md): `level`-core sprinting at `rate`
-    /// flits/cycle/node.
-    ///
-    /// With `noc_sprinting = true` the sprint region grows from the master
-    /// in the topology's
-    /// [`sprint_weight`](noc_sim::topology::Topology::sprint_weight) order,
-    /// traffic stays inside it under the topology's gated routing (CDOR on
-    /// a mesh, the in-arc ring walk on a circulant), and everything outside
-    /// is gated. Otherwise the `level` endpoints are placed **randomly** on
-    /// the fully powered network under its full routing (the paper averages
-    /// this over ten samples via distinct seeds).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] on a spec that does not build: degenerate,
-    /// or above [`MAX_TOPOLOGY_NODES`](noc_sim::topology::MAX_TOPOLOGY_NODES)
-    /// nodes. Otherwise propagates simulator errors.
-    pub fn run_synthetic_on(
-        &self,
-        spec: TopologySpec,
-        level: usize,
-        noc_sprinting: bool,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let topo = build_topology(spec)?;
-        if noc_sprinting {
-            let set = SprintSet::on(topo.clone(), self.controller.master(), level);
-            let placement = Placement::new(set.active_nodes().to_vec(), &*topo)?;
-            self.run_placed_on(topo, placement, Some(&set), pattern, rate, None, seed)
-        } else {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-            let placement = Placement::random(level, &*topo, &mut rng);
-            self.run_placed_on(topo, placement, None, pattern, rate, None, seed)
-        }
-    }
-
-    /// The Fig. 11 full-sprinting baseline that matches the paper's
-    /// saturation discussion: "full-sprinting spreads the **same amount of
-    /// traffic** among a fixed fully-functional network" — all `N` nodes of
-    /// the topology `spec` inject, with per-node rate `level * rate / N` so
-    /// the aggregate load equals the `level`-core sprint at `rate`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Experiment::run_synthetic_on`].
-    pub fn run_synthetic_spread_on(
-        &self,
-        spec: TopologySpec,
-        level: usize,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let topo = build_topology(spec)?;
-        let spread_rate = rate * level as f64 / topo.len() as f64;
-        let placement = Placement::full(&*topo);
-        self.run_placed_on(topo, placement, None, pattern, spread_rate, None, seed)
+        self.run_placed_on(topo.clone(), placement, gated, pattern, rate, seed, None)
     }
 
     /// The core of every gated or fully powered network run: builds the
     /// network on `topo` with the topology's routing (confined to the sprint
     /// set's region when `gated` is given, which also applies its power
-    /// mask), simulates, and prices power by powered resources.
+    /// mask), simulates with `probe` attached, and prices power by powered
+    /// resources.
     #[allow(clippy::too_many_arguments)]
-    fn run_placed_on(
+    pub(crate) fn run_placed_on(
         &self,
         topo: Topo,
         placement: Placement,
         gated: Option<&SprintSet>,
         pattern: TrafficPattern,
         rate: f64,
-        bursts: Option<BurstSchedule>,
         seed: u64,
+        probe: Option<&mut dyn Probe>,
     ) -> Result<NetworkMetrics, SimError> {
         let routing = topo.routing(gated.map(SprintSet::mask));
         let mut net = Network::with_topology(topo.clone(), self.system.router, routing)?;
@@ -286,13 +225,9 @@ impl Experiment {
             Some(set) => GatingPlan::from_sprint_set(set).links_on().len(),
             None => topo.num_directed_links(),
         };
-        let mut traffic =
-            TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
-        if let Some(b) = bursts {
-            traffic = traffic.with_bursts(b);
-        }
+        let traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
         net.set_counting(false);
-        let outcome = Simulation::new(net, traffic, self.sim_config).run()?;
+        let outcome = Simulation::new(net, traffic, self.sim_config).run_observed(probe)?;
         self.stage_totals.record(&outcome.stage_cycles);
         let power = self.network_power_of(&outcome, powered_routers, powered_links);
         Ok(metrics_of(&outcome, power))
@@ -341,28 +276,6 @@ impl Experiment {
         self.stage_totals.record(&outcome.stage_cycles);
         let power = self.network_power_reactive(&outcome);
         Ok(metrics_of(&outcome, power))
-    }
-
-    /// Runs the NoC-sprinting configuration (gated region routing +
-    /// structural gating) with an on/off burst schedule — the
-    /// apples-to-apples counterpart of [`Experiment::run_network_reactive`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_network_bursty(
-        &self,
-        level: usize,
-        pattern: TrafficPattern,
-        rate: f64,
-        bursts: BurstSchedule,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let topo = self.controller.topo();
-        let set = SprintSet::on(topo.clone(), self.controller.master(), level);
-        let placement = Placement::new(set.active_nodes().to_vec(), &**topo)?;
-        let bursts = Some(bursts);
-        self.run_placed_on(topo.clone(), placement, Some(&set), pattern, rate, bursts, seed)
     }
 
     /// Prices a reactive-gating outcome: dynamic power from activity,
@@ -576,11 +489,6 @@ impl Experiment {
     }
 }
 
-/// Builds a job's topology, mapping a bad spec to a configuration error.
-fn build_topology(spec: TopologySpec) -> Result<Topo, SimError> {
-    spec.build().map_err(|e| SimError::InvalidConfig(e.to_string()))
-}
-
 /// The network metrics of a finished run priced at `network_power`.
 fn metrics_of(outcome: &SimOutcome, network_power: f64) -> NetworkMetrics {
     NetworkMetrics {
@@ -747,11 +655,16 @@ mod tests {
 
     #[test]
     fn synthetic_run_produces_sane_metrics() {
-        let e = exp();
-        let spec = TopologySpec::default();
-        let m = e
-            .run_synthetic_on(spec, 4, true, TrafficPattern::UniformRandom, 0.1, 3)
-            .unwrap();
+        use crate::runner::{SyntheticBaseline, SyntheticJob};
+        let job = SyntheticJob {
+            topology: noc_sim::topology::TopologySpec::default(),
+            level: 4,
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.1,
+            seed: 3,
+            baseline: SyntheticBaseline::NocSprinting,
+        };
+        let m = job.run(&exp()).unwrap();
         assert!(m.avg_packet_latency > 5.0 && m.avg_packet_latency < 200.0);
         assert!(m.network_power > 0.0);
         assert!(!m.saturated);

@@ -9,15 +9,14 @@
 //! order**, so parallel output is bit-identical to the serial path at any
 //! worker count.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`ExperimentRunner::run`] / [`ExperimentRunner::try_run`] — generic
 //!   order-preserving parallel map over a slice,
-//! - [`ExperimentRunner::run_sweep`] — a [`LoadSweep`] driven point-by-point
-//!   through the pool,
-//! - [`ExperimentRunner::run_synthetic_jobs`] — the Fig. 11 / ablation
-//!   fan-out over [`SyntheticJob`] operating points, with an optional
-//!   [`ResultCache`] so repeated figure runs skip already-simulated points.
+//! - [`ExperimentRunner::run_synthetic_jobs`] — the fan-out over
+//!   [`SyntheticJob`] operating points (every latency-vs-load point in this
+//!   workspace is one), with an optional [`ResultCache`] so repeated figure
+//!   runs skip already-simulated points.
 //!
 //! Progress is observable through [`RunnerProgress`]: completed/total
 //! counters and accumulated per-point busy time, readable from another
@@ -32,12 +31,12 @@ use std::time::{Duration, Instant};
 
 use noc_sim::error::SimError;
 use noc_sim::probe::Probe;
-use noc_sim::routing::RoutingFunction;
-use noc_sim::sweep::{point_seed, LoadSweep, SweepReport};
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::{Placement, TrafficPattern};
+use rand::SeedableRng;
 
 use crate::experiment::{Experiment, NetworkMetrics};
+use crate::sprint_topology::SprintSet;
 use crate::telemetry::{progress_line, RunnerEvent, SpanRecorder};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
@@ -343,85 +342,6 @@ impl ExperimentRunner {
         Ok(out)
     }
 
-    /// Runs a [`LoadSweep`] through the pool: each operating point is an
-    /// independent simulation ([`LoadSweep::run_point`]), so the report is
-    /// bit-identical to [`LoadSweep::run`] at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed point's simulator error.
-    pub fn run_sweep<F>(
-        &self,
-        sweep: &LoadSweep,
-        placement: &Placement,
-        make_routing: F,
-    ) -> Result<SweepReport, SimError>
-    where
-        F: Fn() -> Box<dyn RoutingFunction> + Send + Sync,
-    {
-        let indices: Vec<usize> = (0..sweep.loads.len()).collect();
-        let points = self.try_run(&indices, |_, &i| {
-            let start = Instant::now();
-            let seed = point_seed(sweep.seed, i);
-            match sweep.run_point(i, placement, &make_routing) {
-                Ok(p) => {
-                    self.record_span("sweep", i, start, false, Some(seed), None);
-                    Ok(p)
-                }
-                Err(e) => {
-                    self.emit_failure("sweep", i, None, Some(seed), &e);
-                    Err(e)
-                }
-            }
-        })?;
-        Ok(SweepReport { points })
-    }
-
-    /// [`ExperimentRunner::run_sweep`] with one probe attached per point:
-    /// `make_probe(i)` builds point `i`'s observer, the point runs through
-    /// [`LoadSweep::run_point_observed`], and the filled probes come back in
-    /// point order alongside the report.
-    ///
-    /// Probes observe without mutating simulation state, so the returned
-    /// [`SweepReport`] is `assert_eq!`-identical to the probe-less
-    /// [`ExperimentRunner::run_sweep`] at any worker count (pinned by the
-    /// determinism suite).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed point's simulator error.
-    pub fn run_sweep_observed<F, P, M>(
-        &self,
-        sweep: &LoadSweep,
-        placement: &Placement,
-        make_routing: F,
-        make_probe: M,
-    ) -> Result<(SweepReport, Vec<P>), SimError>
-    where
-        F: Fn() -> Box<dyn RoutingFunction> + Send + Sync,
-        P: Probe,
-        M: Fn(usize) -> P + Send + Sync,
-    {
-        let indices: Vec<usize> = (0..sweep.loads.len()).collect();
-        let results = self.try_run(&indices, |_, &i| {
-            let start = Instant::now();
-            let seed = point_seed(sweep.seed, i);
-            let mut probe = make_probe(i);
-            match sweep.run_point_observed(i, placement, &make_routing, Some(&mut probe)) {
-                Ok(p) => {
-                    self.record_span("sweep", i, start, false, Some(seed), None);
-                    Ok((p, probe))
-                }
-                Err(e) => {
-                    self.emit_failure("sweep", i, None, Some(seed), &e);
-                    Err(e)
-                }
-            }
-        })?;
-        let (points, probes) = results.into_iter().unzip();
-        Ok((SweepReport { points }, probes))
-    }
-
     /// Runs a batch of synthetic operating points (the Fig. 11 / ablation
     /// fan-out) through the pool, optionally consulting `cache` so repeated
     /// figure runs skip already-simulated points.
@@ -503,7 +423,7 @@ pub enum SyntheticBaseline {
     /// powered mesh, each injecting at the nominal rate.
     RandomEndpoints,
     /// Full-sprinting read #2: all nodes inject, aggregate load matched to
-    /// the sprint configuration (`run_synthetic_spread`).
+    /// the sprint configuration.
     SpreadAggregate,
 }
 
@@ -531,33 +451,74 @@ impl SyntheticJob {
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// As for [`SyntheticJob::run_observed`].
     pub fn run(&self, experiment: &Experiment) -> Result<NetworkMetrics, SimError> {
-        match self.baseline {
-            SyntheticBaseline::NocSprinting => experiment.run_synthetic_on(
-                self.topology,
-                self.level,
-                true,
-                self.pattern,
-                self.rate,
-                self.seed,
-            ),
-            SyntheticBaseline::RandomEndpoints => experiment.run_synthetic_on(
-                self.topology,
-                self.level,
-                false,
-                self.pattern,
-                self.rate,
-                self.seed,
-            ),
-            SyntheticBaseline::SpreadAggregate => experiment.run_synthetic_spread_on(
-                self.topology,
-                self.level,
-                self.pattern,
-                self.rate,
-                self.seed,
-            ),
-        }
+        self.run_observed(experiment, None)
+    }
+
+    /// Runs the point on `experiment` with an optional [`Probe`] attached to
+    /// its simulation — the job-level twin of
+    /// [`Simulation::run_observed`](noc_sim::sim::Simulation::run_observed).
+    /// The probe observes but cannot perturb: the metrics are bit-identical
+    /// to [`SyntheticJob::run`].
+    ///
+    /// - [`SyntheticBaseline::NocSprinting`]: the sprint region grows from
+    ///   the experiment's master in the topology's
+    ///   [`sprint_weight`](noc_sim::topology::Topology::sprint_weight)
+    ///   order, traffic stays inside it under the topology's gated routing
+    ///   (CDOR on a mesh, the in-arc ring walk on a circulant), and
+    ///   everything outside is gated.
+    /// - [`SyntheticBaseline::RandomEndpoints`]: the `level` endpoints are
+    ///   placed randomly (seeded by the job) on the fully powered network
+    ///   under its full routing.
+    /// - [`SyntheticBaseline::SpreadAggregate`]: every node injects at
+    ///   `level * rate / N`, the same aggregate load spread over the fully
+    ///   powered network.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] on a topology spec that does not build:
+    /// degenerate, or above
+    /// [`MAX_TOPOLOGY_NODES`](noc_sim::topology::MAX_TOPOLOGY_NODES) nodes.
+    /// Otherwise propagates simulator errors.
+    pub fn run_observed(
+        &self,
+        experiment: &Experiment,
+        probe: Option<&mut dyn Probe>,
+    ) -> Result<NetworkMetrics, SimError> {
+        let topo = self
+            .topology
+            .build()
+            .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
+        let (placement, gated, rate) = match self.baseline {
+            SyntheticBaseline::NocSprinting => {
+                let set = SprintSet::on(topo.clone(), experiment.controller.master(), self.level);
+                let placement = Placement::new(set.active_nodes().to_vec(), &*topo)?;
+                (placement, Some(set), self.rate)
+            }
+            SyntheticBaseline::RandomEndpoints => {
+                let mut rng =
+                    rand::rngs::SmallRng::seed_from_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
+                (
+                    Placement::random(self.level, &*topo, &mut rng),
+                    None,
+                    self.rate,
+                )
+            }
+            SyntheticBaseline::SpreadAggregate => {
+                let rate = self.rate * self.level as f64 / topo.len() as f64;
+                (Placement::full(&*topo), None, rate)
+            }
+        };
+        experiment.run_placed_on(
+            topo,
+            placement,
+            gated.as_ref(),
+            self.pattern,
+            rate,
+            self.seed,
+            probe,
+        )
     }
 
     /// Stable 64-bit key over the full point configuration. Floats are
@@ -799,26 +760,87 @@ mod tests {
         assert_eq!(cache.misses(), 1);
     }
 
+    /// The standard latency-vs-load curve as a job batch: the fully
+    /// powered 4x4 mesh under XY (spread over all 16 nodes, so the per-node
+    /// rate is the offered load exactly) at 4%..92% load in 8% steps, point
+    /// `i` seeded by `point_seed(7, i)`.
+    fn standard_curve(points: usize) -> Vec<SyntheticJob> {
+        (0..points)
+            .map(|i| SyntheticJob {
+                topology: TopologySpec::default(),
+                level: 16,
+                pattern: TrafficPattern::UniformRandom,
+                rate: 0.04 + 0.08 * i as f64,
+                seed: noc_sim::sweep::point_seed(7, i),
+                baseline: SyntheticBaseline::SpreadAggregate,
+            })
+            .collect()
+    }
+
+    fn quick_curve() -> Vec<NetworkMetrics> {
+        ExperimentRunner::with_workers(2)
+            .run_synthetic_jobs(&Experiment::quick(), &standard_curve(12), None)
+            .unwrap()
+    }
+
+    #[test]
+    fn latency_curve_is_increasing_overall() {
+        let curve = quick_curve();
+        let first = curve.first().unwrap().avg_packet_latency;
+        let last_unsat = curve
+            .iter()
+            .rev()
+            .find(|m| !m.saturated)
+            .unwrap()
+            .avg_packet_latency;
+        assert!(last_unsat > first, "queueing must grow with load");
+    }
+
+    #[test]
+    fn uniform_4x4_saturates_in_the_classic_band() {
+        // XY on a 4x4 with 4 VCs saturates somewhere around 0.35-0.7
+        // flits/cycle/node for uniform random.
+        let jobs = standard_curve(12);
+        let curve = quick_curve();
+        let onset = jobs
+            .iter()
+            .zip(&curve)
+            .find(|(_, m)| m.saturated)
+            .map(|(j, _)| j.rate)
+            .expect("sweep reaches saturation");
+        assert!(
+            (0.3..0.8).contains(&onset),
+            "saturation onset {onset} out of band"
+        );
+        let peak = curve
+            .iter()
+            .map(|m| m.accepted_throughput)
+            .fold(0.0, f64::max);
+        assert!(peak > 0.3);
+    }
+
+    #[test]
+    fn zero_load_latency_matches_expectation() {
+        let z = quick_curve()[0].avg_network_latency;
+        // ~ (avg hops 2.67 + ejection) * 5 + serialization 4 ≈ 22.
+        assert!((15.0..30.0).contains(&z), "zero-load {z}");
+    }
+
     #[test]
     fn sweep_records_spans_when_recorder_attached() {
         use crate::telemetry::validate_chrome_trace;
-        use noc_sim::routing::XyRouting;
-        use noc_sim::sim::SimConfig;
-        use noc_sim::topology::Mesh2D;
 
         let rec = Arc::new(SpanRecorder::new());
         let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
-        let mesh = Mesh2D::paper_4x4();
-        let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-        sweep.sim_config = SimConfig::quick();
-        sweep.loads.truncate(2);
-        let report = runner
-            .run_sweep(&sweep, &Placement::full(&mesh), || Box::new(XyRouting))
+        let jobs = standard_curve(2);
+        let curve = runner
+            .run_synthetic_jobs(&Experiment::quick(), &jobs, None)
             .unwrap();
-        assert_eq!(report.points.len(), 2);
+        assert_eq!(curve.len(), 2);
         assert_eq!(rec.len(), 2, "one span per operating point");
         let spans = rec.spans();
-        assert!(spans.iter().any(|s| s.seed == Some(point_seed(sweep.seed, 0))));
+        assert!(spans.iter().any(|s| s.seed == Some(noc_sim::sweep::point_seed(7, 0))));
+        assert!(spans.iter().any(|s| s.config_hash == Some(jobs[1].cache_key())));
         assert!(spans.iter().all(|s| !s.cache_hit));
         assert_eq!(validate_chrome_trace(&rec.chrome_trace()).unwrap(), 2);
     }

@@ -90,7 +90,6 @@ pub use routing::{
 };
 pub use sim::{PacketAccounting, SimConfig, SimOutcome, Simulation};
 pub use stats::{SimStats, StreamingHistogram};
-pub use sweep::{LoadSweep, SweepPoint, SweepReport};
 pub use topology::Mesh2D;
 pub use trace::{PacketTrace, TraceEntry, TraceReplayer};
 pub use traffic::{BurstSchedule, Placement, TrafficGen, TrafficPattern};

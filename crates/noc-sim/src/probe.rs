@@ -16,8 +16,9 @@
 //!   `Option<&mut dyn Probe>` — the unobserved path costs one `None` branch
 //!   per event and nothing else (`Network::step` compiles down to the same
 //!   hot loop as before the hooks existed).
-//! - The determinism suite pins the contract: a `SweepReport` produced with
-//!   probes attached is `assert_eq!`-identical to one produced without.
+//! - The determinism suite pins the contract: a batch of operating points
+//!   run with probes attached (`SyntheticJob::run_observed` in the
+//!   `noc-sprinting` crate) is bit-identical to the same batch run without.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

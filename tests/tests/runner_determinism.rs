@@ -4,42 +4,97 @@
 //! pure function of `(base_seed, point_index)`.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use noc_sim::probe::{EventCounts, TimeSeriesObserver};
-use noc_sim::routing::{RoutingFunction, XyRouting};
-use noc_sim::sim::SimConfig;
-use noc_sim::sweep::{point_seed, LoadSweep};
-use noc_sim::topology::Mesh2D;
-use noc_sim::traffic::{Placement, TrafficPattern};
+use noc_sim::error::SimError;
+use noc_sim::probe::{EventCounts, Probe, TimeSeriesObserver};
+use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
-use noc_sprinting::cdor::CdorRouting;
-use noc_sprinting::experiment::Experiment;
+use noc_sim::traffic::TrafficPattern;
+use noc_sprinting::experiment::{Experiment, NetworkMetrics};
 use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob};
-use noc_sprinting::sprint_topology::SprintSet;
 use noc_sprinting::telemetry::SpanRecorder;
 
-fn quick_sweep() -> (LoadSweep, Placement) {
-    let mesh = Mesh2D::paper_4x4();
-    let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-    sweep.sim_config = SimConfig::quick();
-    sweep.loads.truncate(6);
-    (sweep, Placement::full(&mesh))
+/// The standard latency-vs-load sweep (4%, 12%, ... in 8% steps, point `i`
+/// seeded by `point_seed(7, i)`) as a batch of `points` jobs on the paper
+/// 4x4 mesh.
+fn sweep_jobs(baseline: SyntheticBaseline, level: usize, points: usize) -> Vec<SyntheticJob> {
+    (0..points)
+        .map(|i| SyntheticJob {
+            topology: TopologySpec::default(),
+            level,
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.04 + 0.08 * i as f64,
+            seed: point_seed(7, i),
+            baseline,
+        })
+        .collect()
+}
+
+/// The fully powered mesh under XY routing, every node injecting.
+fn quick_sweep() -> Vec<SyntheticJob> {
+    sweep_jobs(SyntheticBaseline::SpreadAggregate, 16, 6)
+}
+
+/// Every field's bit pattern: equality here is bit-level, not approximate
+/// (and NaN latencies compare equal to themselves).
+fn bits(m: &NetworkMetrics) -> [u64; 5] {
+    [
+        m.avg_packet_latency.to_bits(),
+        m.avg_network_latency.to_bits(),
+        m.network_power.to_bits(),
+        m.accepted_throughput.to_bits(),
+        u64::from(m.saturated),
+    ]
+}
+
+fn all_bits(ms: &[NetworkMetrics]) -> Vec<[u64; 5]> {
+    ms.iter().map(bits).collect()
+}
+
+/// The serial reference: each job run on its own, in order, outside the
+/// pool.
+fn serial(e: &Experiment, jobs: &[SyntheticJob]) -> Vec<[u64; 5]> {
+    jobs.iter()
+        .map(|j| bits(&j.run(e).expect("serial point")))
+        .collect()
+}
+
+/// Runs `jobs` as one pooled batch with a fresh probe from `make_probe`
+/// attached to each point, recording one span per point into the runner's
+/// recorder when one is attached.
+fn run_observed<P: Probe>(
+    runner: &ExperimentRunner,
+    e: &Experiment,
+    jobs: &[SyntheticJob],
+    make_probe: impl Fn() -> P + Sync,
+) -> (Vec<NetworkMetrics>, Vec<P>) {
+    let results = runner.try_run(jobs, |i, job| {
+        let start = Instant::now();
+        let mut probe = make_probe();
+        let m = job.run_observed(e, Some(&mut probe))?;
+        if let Some(rec) = runner.span_recorder() {
+            let (seed, hash) = (Some(job.seed), Some(job.cache_key()));
+            rec.record("jobs", i, start, Instant::now(), false, seed, hash);
+        }
+        Ok::<_, SimError>((m, probe))
+    });
+    results.expect("observed batch").into_iter().unzip()
 }
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let (sweep, placement) = quick_sweep();
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
-    let serial = sweep.run(&placement, make).expect("serial sweep");
+    let e = Experiment::quick();
+    let jobs = quick_sweep();
+    let serial = serial(&e, &jobs);
     for workers in [1, 2, 3, 8] {
         let runner = ExperimentRunner::with_workers(workers);
         let parallel = runner
-            .run_sweep(&sweep, &placement, make)
+            .run_synthetic_jobs(&e, &jobs, None)
             .expect("parallel sweep");
-        // SweepPoint is PartialEq over f64 fields: equality here is
-        // bit-level, not approximate.
         assert_eq!(
-            parallel, serial,
+            all_bits(&parallel),
+            serial,
             "sweep must be reproducible with {workers} workers"
         );
     }
@@ -47,39 +102,32 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 
 #[test]
 fn parallel_cdor_sweep_matches_serial() {
-    let mesh = Mesh2D::paper_4x4();
-    let set = SprintSet::paper(4);
-    let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-    sweep.sim_config = SimConfig::quick();
-    sweep.loads.truncate(4);
-    let placement = Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement");
-    let make = || Box::new(CdorRouting::new(&set)) as Box<dyn RoutingFunction>;
-    let serial = sweep.run(&placement, make).expect("serial sweep");
+    let e = Experiment::quick();
+    let jobs = sweep_jobs(SyntheticBaseline::NocSprinting, 4, 4);
+    let serial = serial(&e, &jobs);
     let parallel = ExperimentRunner::with_workers(4)
-        .run_sweep(&sweep, &placement, make)
+        .run_synthetic_jobs(&e, &jobs, None)
         .expect("parallel sweep");
-    assert_eq!(parallel, serial);
+    assert_eq!(all_bits(&parallel), serial);
 }
 
 #[test]
 fn observed_sweep_is_bit_identical_to_unobserved_at_any_worker_count() {
     // The telemetry contract: probes observe but never perturb. A sweep run
-    // with a TimeSeriesObserver on every point must produce a SweepReport
-    // bit-identical (f64 PartialEq) to the probe-free serial run, at any
-    // worker count.
-    let (sweep, placement) = quick_sweep();
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
-    let baseline = sweep.run(&placement, make).expect("unobserved serial");
+    // with a TimeSeriesObserver on every point must produce metrics
+    // bit-identical to the probe-free serial run, at any worker count.
+    let e = Experiment::quick();
+    let jobs = quick_sweep();
+    let baseline = serial(&e, &jobs);
     for workers in [1, 2, 4] {
         let runner = ExperimentRunner::with_workers(workers);
-        let (observed, probes) = runner
-            .run_sweep_observed(&sweep, &placement, make, |_| TimeSeriesObserver::new(250))
-            .expect("observed sweep");
+        let (observed, probes) = run_observed(&runner, &e, &jobs, || TimeSeriesObserver::new(250));
         assert_eq!(
-            observed, baseline,
+            all_bits(&observed),
+            baseline,
             "observation must not perturb results ({workers} workers)"
         );
-        assert_eq!(probes.len(), sweep.loads.len());
+        assert_eq!(probes.len(), jobs.len());
         for (i, p) in probes.iter().enumerate() {
             assert!(!p.samples().is_empty(), "point {i} produced no epochs");
         }
@@ -89,18 +137,16 @@ fn observed_sweep_is_bit_identical_to_unobserved_at_any_worker_count() {
 #[test]
 fn span_recorder_and_event_counters_do_not_perturb_results() {
     // Layering the runner-side SpanRecorder on top of per-point EventCounts
-    // probes still leaves the report bit-identical, and both telemetry
+    // probes still leaves the metrics bit-identical, and both telemetry
     // sinks actually see the run.
-    let (sweep, placement) = quick_sweep();
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
-    let baseline = sweep.run(&placement, make).expect("unobserved serial");
+    let e = Experiment::quick();
+    let jobs = quick_sweep();
+    let baseline = serial(&e, &jobs);
     let rec = Arc::new(SpanRecorder::new());
     let runner = ExperimentRunner::with_workers(3).with_span_recorder(Arc::clone(&rec));
-    let (observed, counters) = runner
-        .run_sweep_observed(&sweep, &placement, make, |_| EventCounts::default())
-        .expect("observed sweep");
-    assert_eq!(observed, baseline);
-    assert_eq!(rec.spans().len(), sweep.loads.len());
+    let (observed, counters) = run_observed(&runner, &e, &jobs, EventCounts::default);
+    assert_eq!(all_bits(&observed), baseline);
+    assert_eq!(rec.spans().len(), jobs.len());
     for c in &counters {
         assert!(c.injections > 0, "counter probe saw no injections");
         assert!(

@@ -1,19 +1,18 @@
 //! Telemetry pipeline integration tests: manifest and Chrome-trace
 //! round-trips, and the end-to-end acceptance property — a probe attached
-//! to a paper-preset sweep produces a per-epoch time-series and a Chrome
-//! trace file while the probe-free sweep yields a bit-identical
-//! `SweepReport`.
+//! to every point of a paper-preset sweep produces a per-epoch time-series
+//! and a Chrome trace file while the probe-free sweep yields bit-identical
+//! metrics.
 
-use std::sync::Arc;
 use std::time::Instant;
 
+use noc_sim::error::SimError;
 use noc_sim::probe::TimeSeriesObserver;
-use noc_sim::routing::{RoutingFunction, XyRouting};
-use noc_sim::sim::SimConfig;
-use noc_sim::sweep::{point_seed, LoadSweep};
-use noc_sim::topology::Mesh2D;
-use noc_sim::traffic::{Placement, TrafficPattern};
-use noc_sprinting::runner::ExperimentRunner;
+use noc_sim::sweep::point_seed;
+use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
+use noc_sprinting::experiment::{Experiment, NetworkMetrics};
+use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::{
     validate_chrome_trace, JsonValue, ManifestPoint, RunManifest, SpanRecorder,
 };
@@ -114,24 +113,50 @@ fn chrome_trace_round_trips_with_required_fields() {
 #[test]
 fn paper_preset_sweep_with_probe_yields_time_series_and_identical_report() {
     // The issue's acceptance criterion, end to end: run the paper-preset
-    // sweep (standard loads, paper router parameters) observed and
-    // unobserved, write the trace file, and pin bit-identity.
-    let mesh = Mesh2D::paper_4x4();
-    let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-    sweep.sim_config = SimConfig::quick(); // paper presets otherwise
-    sweep.loads.truncate(4);
-    let placement = Placement::full(&mesh);
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
+    // sweep (standard loads, paper router parameters) on the fully powered
+    // mesh observed and unobserved, write the trace file, and pin
+    // bit-identity.
+    let e = Experiment::quick(); // paper presets otherwise
+    let topology = TopologySpec::default();
+    let jobs: Vec<SyntheticJob> = (0..4)
+        .map(|i| SyntheticJob {
+            topology,
+            level: topology.len(),
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.04 + 0.08 * i as f64,
+            seed: point_seed(7, i),
+            baseline: SyntheticBaseline::SpreadAggregate,
+        })
+        .collect();
+    let bits = |m: &NetworkMetrics| {
+        [
+            m.avg_packet_latency.to_bits(),
+            m.avg_network_latency.to_bits(),
+            m.network_power.to_bits(),
+            m.accepted_throughput.to_bits(),
+            u64::from(m.saturated),
+        ]
+    };
 
-    let unprobed = sweep.run(&placement, make).expect("unprobed sweep");
+    let unprobed: Vec<_> = jobs
+        .iter()
+        .map(|j| bits(&j.run(&e).expect("unprobed point")))
+        .collect();
 
-    let rec = Arc::new(SpanRecorder::new());
-    let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
-    let (probed, observers) = runner
-        .run_sweep_observed(&sweep, &placement, make, |_| TimeSeriesObserver::new(500))
+    let rec = SpanRecorder::new();
+    let probed = ExperimentRunner::with_workers(2)
+        .try_run(&jobs, |i, job| {
+            let start = Instant::now();
+            let mut obs = TimeSeriesObserver::new(500);
+            let m = job.run_observed(&e, Some(&mut obs))?;
+            let (seed, hash) = (Some(job.seed), Some(job.cache_key()));
+            rec.record("sweep", i, start, Instant::now(), false, seed, hash);
+            Ok::<_, SimError>((bits(&m), obs))
+        })
         .expect("probed sweep");
+    let (probed, observers): (Vec<_>, Vec<_>) = probed.into_iter().unzip();
 
-    // Bit-identical report (SweepPoint is PartialEq over raw f64s).
+    // Bit-identical metrics.
     assert_eq!(probed, unprobed);
 
     // Per-epoch time-series: every point sampled every 500 cycles, and the
@@ -144,7 +169,7 @@ fn paper_preset_sweep_with_probe_yields_time_series_and_identical_report() {
         assert!(samples.iter().any(|s| s.injections > 0));
         let csv = obs.to_csv();
         assert!(csv.starts_with("cycle,node,"));
-        assert_eq!(csv.lines().count(), 1 + samples.len() * mesh.len());
+        assert_eq!(csv.lines().count(), 1 + samples.len() * topology.len());
     }
 
     // Chrome trace file: written, validated, one span per point.
