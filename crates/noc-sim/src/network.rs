@@ -21,25 +21,30 @@
 //!   order. Work scales with *activity*, not mesh capacity, which is the
 //!   whole point of simulating dark silicon: a mostly-dark 16×16 mesh costs
 //!   little more than the sprinting region it actually exercises. Its
-//!   allocator bodies are allocation-free struct-of-arrays scans over the
-//!   [`crate::soa::VcStore`] masks, so even a *fully-lit* mesh streams
-//!   linearly through memory.
+//!   stage bodies are allocation-free mask operations over the
+//!   [`crate::soa::VcStore`] struct-of-arrays: VC allocation collects
+//!   per-(output, input port) request masks and walks them in rotated bit
+//!   order, switch allocation picks each output's winner as the lowest set
+//!   bit of a rotated input-port mask, and link delivery visits only the
+//!   ports a per-node mask marks non-empty. Even a *fully-lit* mesh
+//!   therefore streams linearly through memory with no per-VC scan loops.
 //! * **Exhaustive sweep**: the original iterate-everything driver with the
 //!   original allocation-heavy per-node allocator bodies, kept as a
 //!   differential oracle.
 //!
 //! The two allocator formulations are provably the same arbitration
-//! (rotating priority is a cyclic scan; the proofs live on the fast bodies),
+//! (rotating priority is a cyclic scan, and a rotated first-set-bit is that
+//! scan; the proofs live on the fast bodies),
 //! so the engines are bit-identical at every cycle (pinned by the
 //! equivalence suite), and the active-set bookkeeping is maintained under
 //! either engine, so switching mid-run is safe. Link traversals and credit
 //! returns are batched per cycle: stage bodies append to pending buffers and
-//! one end-of-step flush lands them in the per-node queues — observation-
-//! equivalent because arrivals are strictly in the future and the flush
-//! preserves per-queue append order. When the network is quiescent,
-//! [`Network::quiescence`] and [`Network::skip_idle_cycles`] let callers
-//! fast-forward `now` to the next scheduled event without stepping through
-//! empty cycles.
+//! one end-of-step flush lands them in the per-port link and per-node credit
+//! queues — observation-equivalent because arrivals are strictly in the
+//! future and the flush preserves per-queue append order. When the network
+//! is quiescent, [`Network::quiescence`] and [`Network::skip_idle_cycles`]
+//! let callers fast-forward `now` to the next scheduled event without
+//! stepping through empty cycles.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -104,7 +109,7 @@ struct PendingCredit {
 const NI_PORT: u8 = u8::MAX;
 
 /// A link flit sent this cycle, awaiting the end-of-step flush into the
-/// destination's `link_in` queue.
+/// destination port's `link_in` queue.
 #[derive(Debug, Clone)]
 struct PendingLink {
     node: u32,
@@ -289,7 +294,9 @@ impl NodeSet {
 /// Set invariants (supersets are allowed, holes are not):
 ///
 /// * every node with a non-empty `link_in` queue is in `link`
-///   (enqueued by link traversal, drained when its queues empty),
+///   (enqueued by link traversal, drained when its queues empty), and
+///   `link_ports[node]` has bit `p` set iff input port `p`'s queue is
+///   non-empty (exact, not a superset),
 /// * every node with an in-flight credit (router `credit_in` or NI credit
 ///   queue) is in `credit` (enqueued by credit return),
 /// * every node whose NI has queued or mid-injection packets is in `ni`
@@ -305,13 +312,14 @@ struct ActiveState {
     credit: NodeSet,
     ni: NodeSet,
     router: NodeSet,
-    /// Flits waiting in `link_in` per node, all ports.
-    link_pending: Vec<u32>,
+    /// Per node: bit `p` set iff input port `p`'s `link_in` queue is
+    /// non-empty, so link delivery visits only ports holding flits.
+    link_ports: Vec<u8>,
     /// In-flight credits per node (router `credit_in` + NI credit queue).
     credit_pending: Vec<u32>,
     /// Flits buffered in router input VCs per node.
     buffered: Vec<u32>,
-    /// Sum of `link_pending`.
+    /// Flits waiting in `link_in`, all nodes and ports.
     total_links: usize,
     /// Sum of `credit_pending`.
     total_credits: usize,
@@ -335,7 +343,7 @@ impl ActiveState {
             credit: NodeSet::new(len),
             ni: NodeSet::new(len),
             router: NodeSet::new(len),
-            link_pending: vec![0; len],
+            link_ports: vec![0; len],
             credit_pending: vec![0; len],
             buffered: vec![0; len],
             total_links: 0,
@@ -364,8 +372,9 @@ pub struct Network {
     /// Struct-of-arrays storage for every router's pipeline state.
     store: VcStore,
     nis: Vec<Ni>,
-    /// Incoming flit queues per node and input port.
-    link_in: Vec<Vec<VecDeque<TimedFlit>>>,
+    /// Incoming flit queues per input port, indexed by
+    /// [`VcStore::port_id`] (`node * Port::COUNT + port`).
+    link_in: Vec<VecDeque<TimedFlit>>,
     /// Incoming credit queues per node (addressed to output ports).
     credit_in: Vec<VecDeque<TimedCredit>>,
     routing: Box<dyn RoutingFunction>,
@@ -394,9 +403,6 @@ pub struct Network {
     pending_credits: Vec<PendingCredit>,
     /// Link flits sent this cycle, flushed at end of step.
     pending_links: Vec<PendingLink>,
-    /// Per-node VA request scratch (`in_port * vcs + in_vc` → requested
-    /// output port, `u8::MAX` = none), reused across nodes and cycles.
-    va_scratch: Vec<u8>,
     now: u64,
 }
 
@@ -481,9 +487,7 @@ impl Network {
             routers: vec![Router::new(); len],
             store,
             nis: (0..len).map(|_| Ni::new(&params)).collect(),
-            link_in: (0..len)
-                .map(|_| (0..Port::COUNT).map(|_| VecDeque::new()).collect())
-                .collect(),
+            link_in: (0..len * Port::COUNT).map(|_| VecDeque::new()).collect(),
             credit_in: (0..len).map(|_| VecDeque::new()).collect(),
             routing,
             ejected: Vec::new(),
@@ -497,7 +501,6 @@ impl Network {
             stage_cycles: StageCycles::default(),
             pending_credits: Vec::new(),
             pending_links: Vec::new(),
-            va_scratch: vec![u8::MAX; Port::COUNT * params.vcs_per_port],
             now: 0,
         })
     }
@@ -870,6 +873,20 @@ impl Network {
         skipped
     }
 
+    /// The rotating-priority pointers of one router port as
+    /// `[va_rr, sa_in_rr, sa_out_rr]`. Test support for the differential
+    /// suite, which compares arbiter state across engines and checks that
+    /// its runs reach every pointer offset; not part of the public API.
+    #[doc(hidden)]
+    pub fn arbiter_pointers(&self, node: NodeId, port: Port) -> [u32; 3] {
+        let pid = self.store.port_id(node.0, port.index());
+        [
+            self.store.va_rr[pid],
+            self.store.sa_in_rr[pid],
+            self.store.sa_out_rr[pid],
+        ]
+    }
+
     /// Asserts every active-set invariant against a ground-truth rescan.
     /// Test support for the differential suite; not part of the public API.
     ///
@@ -885,8 +902,13 @@ impl Network {
         let mut busy = 0;
         let mut queued = 0;
         for node in 0..self.routers.len() {
-            let l: usize = self.link_in[node].iter().map(VecDeque::len).sum();
-            assert_eq!(a.link_pending[node] as usize, l, "link_pending[{node}]");
+            let mut l = 0;
+            for port in 0..Port::COUNT {
+                let q = self.link_in[self.store.port_id(node, port)].len();
+                let bit = a.link_ports[node] & (1 << port) != 0;
+                assert_eq!(bit, q > 0, "link_ports bit {port} of node {node}");
+                l += q;
+            }
             assert!(l == 0 || a.link.contains(node), "link set missing {node}");
             let c = self.credit_in[node].len() + self.nis[node].credit_queue.len();
             assert_eq!(a.credit_pending[node] as usize, c, "credit_pending[{node}]");
@@ -1095,12 +1117,12 @@ impl Network {
         let mut links = std::mem::take(&mut self.pending_links);
         for pl in links.drain(..) {
             let node = pl.node as usize;
-            self.link_in[node][pl.port as usize].push_back(TimedFlit {
+            self.link_in[self.store.port_id(node, pl.port as usize)].push_back(TimedFlit {
                 flit: pl.flit,
                 vc: pl.vc as usize,
                 arrive: pl.arrive,
             });
-            self.active.link_pending[node] += 1;
+            self.active.link_ports[node] |= 1 << pl.port;
             self.active.total_links += 1;
             self.active.link.insert(node);
         }
@@ -1408,7 +1430,7 @@ impl Network {
                             Err(e) => err = Some(e),
                         }
                     }
-                    self.active.link_pending[node] > 0
+                    self.active.link_ports[node] != 0
                 });
                 self.active.link = set;
                 if let Some(e) = err {
@@ -1424,7 +1446,11 @@ impl Network {
         Ok(events)
     }
 
-    /// Stage-1 body for one node: lands every arrived link flit (BW + RC).
+    /// Stage-1 body for one node: lands every arrived link flit (BW + RC),
+    /// visiting only the input ports whose queues hold flits, in ascending
+    /// port order. No flit is enqueued during the stage (traversals are
+    /// batched until the end-of-step flush), so the snapshot of the
+    /// non-empty-port mask taken here is exact.
     fn deliver_flits_at(
         &mut self,
         node: usize,
@@ -1436,8 +1462,12 @@ impl Network {
             return Ok(0);
         }
         let mut events = 0;
-        for port_idx in 0..Port::COUNT {
-            while let Some(tf) = self.link_in[node][port_idx].front() {
+        let mut ports = self.active.link_ports[node];
+        while ports != 0 {
+            let port_idx = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let q = self.store.port_id(node, port_idx);
+            while let Some(tf) = self.link_in[q].front() {
                 if tf.arrive > now {
                     break;
                 }
@@ -1452,10 +1482,10 @@ impl Network {
                 if !self.ensure_awake(node, now, probe.as_deref_mut()) {
                     break;
                 }
-                let tf = self.link_in[node][port_idx]
-                    .pop_front()
-                    .expect("checked front");
-                self.active.link_pending[node] -= 1;
+                let tf = self.link_in[q].pop_front().expect("checked front");
+                if self.link_in[q].is_empty() {
+                    self.active.link_ports[node] &= !(1 << port_idx);
+                }
                 self.active.total_links -= 1;
                 self.buffer_write(
                     node,
@@ -2017,15 +2047,19 @@ impl Network {
     }
 
     /// Stage-3 fast body for one node: the same separable rotating-priority
-    /// allocator as [`Network::vc_allocate_at`], restructured to stream over
-    /// the SoA arrays without allocating.
+    /// allocator as [`Network::vc_allocate_at`], restructured as bitmask
+    /// operations over the SoA arrays without allocating.
     ///
     /// Equivalence argument: each input VC requests at most one output port,
     /// so the ids in the oracle's per-output request list are unique and its
-    /// stable sort by rotated distance `(id - ptr) mod id_space` yields the
-    /// same visit order as scanning ids in rotated ascending order from
-    /// `ptr` — which is what the scan below does, skipping non-requesters
-    /// via the scratch table.
+    /// stable sort by rotated distance `(id - ptr) mod id_space` visits them
+    /// in rotated ascending local-id order from `ptr`. Local ids are
+    /// `in_port * vcs + in_vc`, so with `(p0, v0) = (ptr / vcs, ptr % vcs)`
+    /// that order is: the request bits `>= v0` of port `p0`, then every bit
+    /// of ports `p0 + 1, ...` (wrapping past the last port), then the bits
+    /// `< v0` of `p0` — each mask walked in ascending bit order. Outputs
+    /// without requests are no-ops in the oracle (no grant, no pointer
+    /// move), so visiting only requested outputs, ascending, matches it.
     fn vc_allocate_at_fast(
         &mut self,
         node: usize,
@@ -2033,7 +2067,6 @@ impl Network {
         mut probe: Option<&mut (dyn Probe + '_)>,
     ) -> usize {
         let vcs = self.store.vcs();
-        let id_space = Port::COUNT * vcs;
         // O(1) early-out: no VC on this node awaits a VC grant.
         if self.store.routed_count[node] == 0 {
             return 0;
@@ -2041,11 +2074,13 @@ impl Network {
         if !self.routers[node].is_operational() || self.frozen(node, now) {
             return 0;
         }
-        // Fill the request scratch: local id -> requested out port index
-        // (u8::MAX = no request). A requester is Routed *and* occupied
-        // (`routed & occ`), so a port with none costs two mask loads.
-        let mut any = false;
-        for in_port in 0..Port::COUNT {
+        // Requests: `req[in_port][out]` holds the input VCs of `in_port`
+        // asking for output `out`; `outs` marks the outputs requested. A
+        // requester is Routed *and* occupied (`routed & occ`), so a port
+        // with none costs two mask loads.
+        let mut req = [[0u64; Port::COUNT]; Port::COUNT];
+        let mut outs = 0u32;
+        for (in_port, row) in req.iter_mut().enumerate() {
             let in_pid = self.store.port_id(node, in_port);
             let mut mask = self.store.routed_mask[in_pid] & self.store.occ_mask[in_pid];
             while mask != 0 {
@@ -2053,50 +2088,59 @@ impl Network {
                 mask &= mask - 1;
                 let id = in_pid * vcs + in_vc;
                 if self.store.head_arrived[id] + self.params.va_delay <= now {
-                    self.va_scratch[in_port * vcs + in_vc] = self.store.route_port[id];
-                    any = true;
+                    let out = self.store.route_port[id] as usize;
+                    row[out] |= 1 << in_vc;
+                    outs |= 1 << out;
                 }
             }
-        }
-        if !any {
-            return 0;
         }
         let mut grants = 0;
-        for out_idx in 0..Port::COUNT {
+        while outs != 0 {
+            let out_idx = outs.trailing_zeros() as usize;
+            outs &= outs - 1;
             let out_pid = self.store.port_id(node, out_idx);
             let ptr = self.store.va_rr[out_pid] as usize;
+            let (p0, v0) = (ptr / vcs, ptr % vcs);
+            // `v0 < vcs <= 64`, so the shift cannot overflow.
+            let below = (1u64 << v0) - 1;
             let mut last_granted = None;
-            for k in 0..id_space {
-                let local = (ptr + k) % id_space;
-                if self.va_scratch[local] != out_idx as u8 {
-                    continue;
-                }
-                let (in_port, in_vc) = (local / vcs, local % vcs);
-                let id = self.store.vc_id(node, in_port, in_vc);
-                let mut range = self.params.vnet_vcs(self.store.head_vnet[id]);
-                if self.vc_classes > 1 {
-                    // Escape-class narrowing; guarded so single-class
-                    // topologies never touch the front flit here.
-                    let dst = self
-                        .store
-                        .front(id)
-                        .expect("VA requester has a buffered head flit")
-                        .dst;
-                    range = self.class_range(node, out_idx, dst, range);
-                }
-                let Some(out_vc) = self.store.first_free_out_vc(out_pid, range) else {
-                    continue;
+            // Step 0 is port p0's bits >= v0, steps 1..COUNT the following
+            // ports whole, step COUNT wraps back to p0's bits < v0.
+            for step in 0..=Port::COUNT {
+                let in_port = (p0 + step) % Port::COUNT;
+                let keep = match step {
+                    0 => !below,
+                    Port::COUNT => below,
+                    _ => u64::MAX,
                 };
-                self.grant_vc(node, in_port, in_vc, out_idx, out_vc, now, probe.as_deref_mut());
-                last_granted = Some(local);
-                grants += 1;
+                let mut mask = req[in_port][out_idx] & keep;
+                while mask != 0 {
+                    let in_vc = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let id = self.store.vc_id(node, in_port, in_vc);
+                    let mut range = self.params.vnet_vcs(self.store.head_vnet[id]);
+                    if self.vc_classes > 1 {
+                        // Escape-class narrowing; guarded so single-class
+                        // topologies never touch the front flit here.
+                        let dst = self
+                            .store
+                            .front(id)
+                            .expect("VA requester has a buffered head flit")
+                            .dst;
+                        range = self.class_range(node, out_idx, dst, range);
+                    }
+                    let Some(out_vc) = self.store.first_free_out_vc(out_pid, range) else {
+                        continue;
+                    };
+                    self.grant_vc(node, in_port, in_vc, out_idx, out_vc, now, probe.as_deref_mut());
+                    last_granted = Some(in_port * vcs + in_vc);
+                    grants += 1;
+                }
             }
             if let Some(local) = last_granted {
-                self.store.va_rr[out_pid] = ((local + 1) % id_space) as u32;
+                self.store.va_rr[out_pid] = ((local + 1) % (Port::COUNT * vcs)) as u32;
             }
         }
-        // Clear only this node's scratch (at most id_space bytes).
-        self.va_scratch[..id_space].fill(u8::MAX);
         grants
     }
 
@@ -2254,16 +2298,20 @@ impl Network {
     }
 
     /// Stage-4 fast body for one node: the same two-stage allocator as
-    /// [`Network::switch_allocate_at`], restructured to stream over the SoA
-    /// arrays with a stack-resident stage-1 table and no heap allocation.
+    /// [`Network::switch_allocate_at`], restructured as bitmask operations
+    /// over the SoA arrays with a stack-resident stage-1 table and no heap
+    /// allocation.
     ///
     /// Equivalence argument: within one input port the ranks
     /// `(in_vc - ptr) mod vcs` of the eligible VCs are distinct, so the
     /// oracle's min-rank winner is exactly the first eligible VC met when
-    /// scanning `in_vc` in rotated ascending order from `ptr` — and likewise
-    /// for stage 2 over input ports. Stage 1 is fully computed before stage
-    /// 2 commits anything in both bodies, and each winner touches a distinct
-    /// `(in_port, in_vc)`, so grant order cannot change the outcome.
+    /// scanning `in_vc` in rotated ascending order from `ptr`. Stage 2 is
+    /// the same rotating priority over input ports: the lowest set bit of an
+    /// output's input-request mask rotated right by `ptr` is the requester
+    /// of least rank `(in_port - ptr) mod P`. Stage 1 is fully computed
+    /// before stage 2 commits anything in both bodies, outputs are committed
+    /// in ascending order in both, and each winner touches a distinct
+    /// `(in_port, in_vc)`, so the outcome is the oracle's.
     fn switch_allocate_at_fast(
         &mut self,
         node: usize,
@@ -2286,9 +2334,12 @@ impl Network {
         // is one mask intersection; rotating the word by the round-robin
         // pointer makes ascending bit order exactly rank order (bits below
         // `ptr` wrap to positions `64 - ptr + v`, above every unwrapped
-        // candidate since `vcs <= 64`).
-        let mut stage1: [Option<(u8, u8, u8)>; Port::COUNT] = [None; Port::COUNT]; // (in_vc, out_port, out_vc)
-        let mut any = false;
+        // candidate since `vcs <= 64`). Each winner is recorded as
+        // (in_vc, out_vc) per input port, plus its input-port bit in the
+        // request mask of the output port it wants.
+        let mut stage1 = [(0u8, 0u8); Port::COUNT];
+        let mut want = [0u32; Port::COUNT];
+        let mut outs = 0u32;
         for (in_port, slot) in stage1.iter_mut().enumerate() {
             let in_pid = self.store.port_id(node, in_port);
             let cand = self.store.active_mask[in_pid] & self.store.occ_mask[in_pid];
@@ -2317,32 +2368,27 @@ impl Network {
                 if !self.sa_fault_ok(node, self.store.head_is_head[id], out_port, now) {
                     continue;
                 }
-                *slot = Some((in_vc as u8, out_port_idx as u8, out_vc as u8));
-                any = true;
+                *slot = (in_vc as u8, out_vc as u8);
+                want[out_port_idx] |= 1 << in_port;
+                outs |= 1 << out_port_idx;
                 break;
             }
         }
-        if !any {
-            return (0, 0);
-        }
-        // SA stage 2: first matching input port per output port, in rotated
-        // order from the stage-2 pointer.
-        for out_idx in 0..Port::COUNT {
+        // SA stage 2: per requested output, ascending, the first requesting
+        // input port in rotated order from the stage-2 pointer. Doubling the
+        // 5-bit mask makes the right shift by `ptr < P` a rotation: input
+        // `i` sits at bit `i - ptr` when `i >= ptr`, else at `i + P - ptr`.
+        while outs != 0 {
+            let out_idx = outs.trailing_zeros() as usize;
+            outs &= outs - 1;
             let out_pid = self.store.port_id(node, out_idx);
             let ptr = self.store.sa_out_rr[out_pid] as usize;
-            let mut winner = None;
-            for k in 0..Port::COUNT {
-                let in_port = (ptr + k) % Port::COUNT;
-                if let Some((in_vc, op, ov)) = stage1[in_port] {
-                    if op as usize == out_idx {
-                        winner = Some((in_port, in_vc as usize, ov as usize));
-                        break;
-                    }
-                }
+            let m = want[out_idx];
+            let mut in_port = ptr + ((m | m << Port::COUNT) >> ptr).trailing_zeros() as usize;
+            if in_port >= Port::COUNT {
+                in_port -= Port::COUNT;
             }
-            let Some((in_port, in_vc, out_vc)) = winner else {
-                continue;
-            };
+            let (in_vc, out_vc) = (stage1[in_port].0 as usize, stage1[in_port].1 as usize);
             self.grant_switch(node, in_port, in_vc, out_idx, now, probe.as_deref_mut());
             let ejected = self.traverse(
                 node,
@@ -2548,6 +2594,65 @@ mod tests {
         for e in &ej {
             assert!(seen.insert((e.flit.packet, e.flit.seq)), "duplicate flit");
         }
+    }
+
+    /// Every flit of a packet carries its head's injection cycle — also the
+    /// flits that enter the network later because the NI stalled on
+    /// credits mid-packet. The simulation driver reads a packet's network
+    /// latency off the tail flit alone, relying on this.
+    #[test]
+    fn every_flit_carries_its_head_injection_cycle() {
+        #[derive(Default)]
+        struct Injections(Vec<Vec<u64>>);
+        impl Probe for Injections {
+            fn on_injection(&mut self, cycle: u64, node: NodeId) {
+                self.0[node.0].push(cycle);
+            }
+        }
+        let mut net = net();
+        let len = 8u32;
+        // Every node floods node 5: long packets behind 4-flit buffers make
+        // the NIs wait for credits between flits of one packet.
+        let mut id = 0;
+        for _ in 0..3 {
+            for src in 0..16 {
+                net.enqueue_packet(packet(id, src, 5, len, 0));
+                id += 1;
+            }
+        }
+        let mut probe = Injections(vec![Vec::new(); 16]);
+        let mut ejections = Vec::new();
+        for _ in 0..20_000 {
+            net.step_observed(Some(&mut probe)).unwrap();
+            ejections.extend(net.drain_ejections());
+            if net.is_drained() {
+                break;
+            }
+        }
+        assert!(net.is_drained(), "network failed to drain");
+        assert_eq!(ejections.len(), 3 * 16 * len as usize);
+        // One vnet: each NI injects its packets whole, in enqueue order, so
+        // its k-th injection event is flit `k % len` of its `k / len`-th
+        // packet (packet ids were assigned round by round over the nodes).
+        let mut stalled = false;
+        for e in &ejections {
+            let f = e.flit;
+            let (round, src) = (f.packet.0 / 16, f.src.0);
+            assert_eq!(round * 16 + src as u64, f.packet.0);
+            let cycles = &probe.0[src];
+            let first = (round * u64::from(len)) as usize;
+            let head_at = cycles[first];
+            assert_eq!(
+                f.injected, head_at,
+                "flit {} of packet {}",
+                f.seq, f.packet.0
+            );
+            stalled |= cycles[first + f.seq as usize] > head_at + u64::from(f.seq);
+        }
+        assert!(
+            stalled,
+            "no packet stalled mid-injection; the test lost its point"
+        );
     }
 
     #[test]

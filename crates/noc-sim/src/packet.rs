@@ -52,8 +52,10 @@ pub struct Flit {
     /// Cycle at which the parent packet was *generated* (entered the source
     /// queue). Used for packet latency, which includes source queueing.
     pub created: u64,
-    /// Cycle at which this flit entered the network (was written into the
-    /// source router's local input buffer). Used for network latency.
+    /// Cycle at which the packet's *head* flit entered the network (was
+    /// written into the source router's local input buffer). Every flit of
+    /// a packet carries the same stamp, so the tail alone yields the
+    /// packet's network latency.
     pub injected: u64,
     /// Cycle at which the flit was written into the current router's input
     /// buffer; gates pipeline-stage eligibility.

@@ -7,12 +7,9 @@
 //! packet has been delivered or the drain budget is exhausted — the latter
 //! marks the operating point as saturated.
 
-use std::collections::HashMap;
-
 use crate::error::SimError;
 use crate::fault::FaultStats;
 use crate::network::{Network, StageCycles};
-use crate::packet::PacketId;
 use crate::probe::{Probe, SimPhase};
 use crate::router::RouterActivity;
 use crate::stats::{LatencySample, SimStats};
@@ -177,9 +174,6 @@ impl Simulation {
         let mut packets_delivered = 0u64;
         let mut measured_generated = 0u64;
         let mut measured_ejected = 0u64;
-        // Head-injection cycle per in-flight measured packet, captured from
-        // the head flit; consumed at tail ejection.
-        let mut head_inject: HashMap<PacketId, u64> = HashMap::new();
         let mut idle_cycles = 0u64;
 
         let warmup_end = self.cfg.warmup;
@@ -274,15 +268,13 @@ impl Simulation {
                     continue;
                 }
                 flits_delivered += 1;
-                if f.kind.is_head() {
-                    head_inject.insert(f.packet, f.injected);
-                }
                 if f.kind.is_tail() {
                     packets_delivered += 1;
                     measured_ejected += 1;
                     let plat = e.at.saturating_sub(f.created);
-                    let head_at = head_inject.remove(&f.packet).unwrap_or(f.injected);
-                    let nlat = e.at.saturating_sub(head_at);
+                    // Every flit carries its head's injection cycle, so
+                    // the tail alone yields the network latency.
+                    let nlat = e.at.saturating_sub(f.injected);
                     packet_latency.record(plat);
                     network_latency.record(nlat);
                     if let Some(p) = probe.as_deref_mut() {

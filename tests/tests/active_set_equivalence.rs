@@ -13,13 +13,13 @@
 use proptest::prelude::*;
 
 use noc_sim::fault::{FaultEvent, FaultPlan, RandomFaultConfig};
-use noc_sim::geometry::NodeId;
+use noc_sim::geometry::{NodeId, Port};
 use noc_sim::network::{GatingMode, Network, Quiescence, StepEngine};
 use noc_sim::probe::{Probe, SimPhase};
 use noc_sim::router::RouterParams;
-use noc_sim::routing::XyRouting;
+use noc_sim::routing::{CirculantRouting, XyRouting};
 use noc_sim::sim::{SimConfig, SimOutcome, Simulation};
-use noc_sim::topology::Mesh2D;
+use noc_sim::topology::{Circulant, Mesh2D, Topo};
 use noc_sim::traffic::{BurstSchedule, Placement, TrafficGen, TrafficPattern};
 use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::sprint_topology::SprintSet;
@@ -378,6 +378,132 @@ fn engines_bit_identical_on_fully_lit_32x32_with_midrun_switches() {
     assert_eq!(a.in_flight(), b.in_flight());
     a.validate_active_sets();
     b.validate_active_sets();
+}
+
+// ---------------------------------------------------------------------------
+// Router-parameter matrix
+// ---------------------------------------------------------------------------
+
+/// Builds one engine's network for a router-parameter case: the 4x4 mesh
+/// under XY routing, or circ16s5 under chord-first routing with its two
+/// dateline VC classes.
+fn params_net(circulant: bool, params: RouterParams, engine: StepEngine) -> Network {
+    let mut net = if circulant {
+        let topo = Topo::from(Circulant::new(16, 5).unwrap());
+        Network::with_topology(topo, params, Box::new(CirculantRouting::full())).unwrap()
+    } else {
+        Network::new(Mesh2D::paper_4x4(), params, Box::new(XyRouting)).unwrap()
+    };
+    net.set_step_engine(engine);
+    net
+}
+
+/// Lockstep run of one router-parameter case with the arbiter pointers of
+/// every port compared each cycle. Also asserts the run reached every VA
+/// pointer value (`0..P * vcs`) and every SA stage-2 value (`0..P`) at
+/// some port, so each rotation offset was exercised.
+fn assert_lockstep_params(circulant: bool, params: RouterParams, cycles: u64) {
+    let case = format!("circulant={circulant} {params:?}");
+    let mut active = params_net(circulant, params, StepEngine::ActiveSet);
+    let mut oracle = params_net(circulant, params, StepEngine::ExhaustiveSweep);
+    let nodes = active.topology().len();
+    // Saturating hotspot traffic around an interior node (logical node 0
+    // is placed on node 5): links on every side stay congested and keep
+    // many output VCs held at once, so high VC indices on every port carry
+    // requests.
+    let mut order: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+    order.swap(0, 5);
+    let placement = Placement::new(order, active.topology()).unwrap();
+    let pattern = TrafficPattern::Hotspot { hot_fraction: 0.2 };
+    let mut gen_a = TrafficGen::new(pattern, placement.clone(), 1.0, 4, 3).unwrap();
+    let mut gen_o = TrafficGen::new(pattern, placement, 1.0, 4, 3).unwrap();
+    let mut trace_a = Trace::default();
+    let mut trace_o = Trace::default();
+    let id_space = Port::COUNT * params.vcs_per_port;
+    let mut va_seen = vec![false; id_space];
+    let mut sa_seen = [false; Port::COUNT];
+    for now in 0..cycles {
+        for (gen, net) in [(&mut gen_a, &mut active), (&mut gen_o, &mut oracle)] {
+            for mut p in gen.generate(now, true) {
+                // Spread packets over every vnet.
+                p.vnet = (p.id.0 % params.vnets as u64) as u8;
+                net.enqueue_packet(p);
+            }
+        }
+        let ra = active.step_observed(Some(&mut trace_a)).unwrap();
+        let ro = oracle.step_observed(Some(&mut trace_o)).unwrap();
+        assert_eq!(ra, ro, "step report diverged at cycle {now} ({case})");
+        assert_eq!(
+            active.drain_ejections(),
+            oracle.drain_ejections(),
+            "ejections diverged at cycle {now} ({case})"
+        );
+        for node in 0..nodes {
+            for port in Port::ALL {
+                let ptrs = active.arbiter_pointers(NodeId(node), port);
+                assert_eq!(
+                    ptrs,
+                    oracle.arbiter_pointers(NodeId(node), port),
+                    "arbiter pointers of n{node} {port:?} diverged at cycle {now} ({case})"
+                );
+                va_seen[ptrs[0] as usize] = true;
+                sa_seen[ptrs[2] as usize] = true;
+            }
+        }
+        if now.is_multiple_of(53) {
+            active.validate_active_sets();
+        }
+    }
+    assert_eq!(
+        trace_a,
+        trace_o,
+        "probe stream diverged ({case}): {}",
+        trace_a.diff_head(&trace_o)
+    );
+    assert_eq!(active.in_flight(), oracle.in_flight());
+    active.validate_active_sets();
+    let va_missed: Vec<usize> = (0..id_space).filter(|&v| !va_seen[v]).collect();
+    assert!(
+        va_missed.is_empty(),
+        "VA pointer values never reached ({case}): {va_missed:?}"
+    );
+    assert!(
+        sa_seen.iter().all(|&s| s),
+        "SA stage-2 pointer values missed ({case}): {sa_seen:?}"
+    );
+}
+
+/// The fast allocators' mask arithmetic — the VA pointer split into
+/// `(ptr / vcs, ptr % vcs)`, the `1 << v0` partial-port masks, and the
+/// rotated SA stage-2 request mask — is cycle-for-cycle bit-identical to
+/// the oracle's rotated-distance scans across VC counts whose id space
+/// `P * vcs` is not a power of two (1, 3, 6, 8, 64 VCs, so the VA pointer
+/// also lands mid-port), one and two vnets, and the circulant's dateline
+/// VC classes. Each run is long enough that every VA and SA stage-2
+/// pointer offset is reached.
+#[test]
+fn engines_bit_identical_across_router_params() {
+    let params = |vcs_per_port, vnets| RouterParams {
+        vcs_per_port,
+        vnets,
+        ..RouterParams::paper()
+    };
+    // (circulant, params, cycles): each run reaches full pointer coverage
+    // in well under half its cycles.
+    let cases = [
+        (false, params(1, 1), 600),
+        (false, params(3, 1), 600),
+        (false, params(8, 1), 600),
+        (false, params(8, 2), 600),
+        (false, params(64, 1), 5_000),
+        (true, params(4, 2), 600),
+        (true, params(6, 1), 600),
+        (true, params(8, 1), 3_000),
+        (true, params(8, 2), 3_000),
+    ];
+    for (circulant, params, cycles) in cases {
+        assert_lockstep_params(circulant, params, cycles);
+    }
 }
 
 // ---------------------------------------------------------------------------
