@@ -38,12 +38,11 @@ use std::time::Instant;
 
 use noc_sim::geometry::NodeId;
 use noc_sim::probe::{Probe, TimeSeriesObserver};
-use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::controller::SprintController;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{point_seed, ExperimentRunner, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{metric_pairs, pattern_from_name};
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest, SpanRecorder};
 

@@ -38,11 +38,10 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{point_seed, ExperimentRunner, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest};
 
 #[derive(Debug)]

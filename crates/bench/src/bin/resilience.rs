@@ -42,12 +42,11 @@ use noc_sim::geometry::NodeId;
 use noc_sim::network::Network;
 use noc_sim::routing::unreachable_pairs;
 use noc_sim::sim::{SimConfig, Simulation};
-use noc_sim::sweep::point_seed;
 use noc_sim::topology::Mesh2D;
 use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
 use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::config::SystemConfig;
-use noc_sprinting::runner::ExperimentRunner;
+use noc_sprinting::runner::{point_seed, ExperimentRunner};
 use noc_sprinting::sprint_topology::SprintSet;
 use noc_sprinting::telemetry::{FaultRecord, ManifestPoint, RunManifest, SpanRecorder};
 

@@ -7,10 +7,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
-use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{point_seed, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::RunManifest;
 
 fn scratch_dir(label: &str) -> PathBuf {

@@ -3,7 +3,7 @@
 //! Every figure, ablation and sweep in this reproduction decomposes into
 //! independent operating points: a point builds its own network, traffic
 //! generator and routing function, and its RNG seed is a pure function of
-//! `(base_seed, point_index)` ([`noc_sim::sweep::point_seed`]). The
+//! `(base_seed, point_index)` ([`point_seed`]). The
 //! [`ExperimentRunner`] exploits that: it fans points out across a
 //! `std::thread::scope` worker pool and reassembles results **in input
 //! order**, so parallel output is bit-identical to the serial path at any
@@ -38,6 +38,20 @@ use rand::SeedableRng;
 use crate::experiment::{Experiment, NetworkMetrics};
 use crate::sprint_topology::SprintSet;
 use crate::telemetry::{progress_line, RunnerEvent, SpanRecorder};
+
+/// Derives the RNG seed of sweep point `index` from the sweep's base seed.
+///
+/// The derivation is a splitmix64 mix of both inputs — a pure function, so
+/// serial and parallel executions (and any thread count) agree on every
+/// point's seed, and distinct points get decorrelated streams even for
+/// adjacent indices.
+#[must_use]
+pub fn point_seed(base_seed: u64, index: usize) -> u64 {
+    let mut z = base_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -644,6 +658,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn point_seed_is_pure_and_decorrelated() {
+        assert_eq!(point_seed(7, 3), point_seed(7, 3));
+        let mut seen = std::collections::HashSet::new();
+        for base in [0u64, 7, u64::MAX] {
+            for i in 0..64 {
+                assert!(
+                    seen.insert(point_seed(base, i)),
+                    "collision at ({base}, {i})"
+                );
+            }
+        }
+        // Adjacent indices must not map to adjacent seeds.
+        assert!(point_seed(7, 0).abs_diff(point_seed(7, 1)) > 1 << 20);
+    }
+
+    #[test]
     fn run_preserves_input_order() {
         let runner = ExperimentRunner::with_workers(8);
         let items: Vec<usize> = (0..100).collect();
@@ -771,7 +801,7 @@ mod tests {
                 level: 16,
                 pattern: TrafficPattern::UniformRandom,
                 rate: 0.04 + 0.08 * i as f64,
-                seed: noc_sim::sweep::point_seed(7, i),
+                seed: point_seed(7, i),
                 baseline: SyntheticBaseline::SpreadAggregate,
             })
             .collect()
@@ -839,7 +869,7 @@ mod tests {
         assert_eq!(curve.len(), 2);
         assert_eq!(rec.len(), 2, "one span per operating point");
         let spans = rec.spans();
-        assert!(spans.iter().any(|s| s.seed == Some(noc_sim::sweep::point_seed(7, 0))));
+        assert!(spans.iter().any(|s| s.seed == Some(point_seed(7, 0))));
         assert!(spans.iter().any(|s| s.config_hash == Some(jobs[1].cache_key())));
         assert!(spans.iter().all(|s| !s.cache_hit));
         assert_eq!(validate_chrome_trace(&rec.chrome_trace()).unwrap(), 2);

@@ -68,7 +68,6 @@ pub mod sim;
 pub mod soa;
 pub mod sprint_topology;
 pub mod stats;
-pub mod sweep;
 pub mod topology;
 pub mod trace;
 pub mod traffic;

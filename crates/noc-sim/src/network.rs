@@ -37,11 +37,19 @@
 //! scan; the proofs live on the fast bodies),
 //! so the engines are bit-identical at every cycle (pinned by the
 //! equivalence suite), and the active-set bookkeeping is maintained under
-//! either engine, so switching mid-run is safe. Link traversals and credit
-//! returns are batched per cycle: stage bodies append to pending buffers and
-//! one end-of-step flush lands them in the per-port link and per-node credit
-//! queues — observation-equivalent because arrivals are strictly in the
-//! future and the flush preserves per-queue append order. When the network
+//! either engine, so switching mid-run is safe.
+//!
+//! # Flit data path
+//!
+//! A packet's fields live once, in the network's packet table, from the
+//! cycle its NI starts injecting it until its tail leaves the network. A
+//! flit in flight is a 16-byte handle into that table: it moves once into
+//! a flat per-VC ring on buffer write and once onto a link queue on
+//! traversal, and the wide [`Flit`] is rebuilt only at ejection. Link
+//! traversals and credit returns land straight in the destination queues
+//! during the stage that produces them: every arrival is at `now + 1` or
+//! later, the queues' only readers (stages 0 and 1) have already run this
+//! cycle, and each queue is appended in production order. When the network
 //! is quiescent, [`Network::quiescence`] and [`Network::skip_idle_cycles`]
 //! let callers fast-forward `now` to the next scheduled event without
 //! stepping through empty cycles.
@@ -51,11 +59,11 @@ use std::collections::{BTreeSet, VecDeque};
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultPlan, FaultState, FaultStats};
 use crate::geometry::{NodeId, Port};
-use crate::packet::{Flit, Packet};
+use crate::packet::{Flit, FlitHandle, Packet, PacketTable, MAX_PACKET_FLITS};
 use crate::probe::Probe;
 use crate::router::{Router, RouterActivity, RouterParams, SleepState};
 use crate::routing::{RouteDecision, RoutingFunction};
-use crate::soa::{VcPhase, VcStore, FREE_VC};
+use crate::soa::{lane_mask, VcPhase, VcStore, FREE_VC};
 use crate::topology::{Mesh2D, Topo, Topology};
 use crate::vc::VcState;
 
@@ -78,45 +86,20 @@ pub enum GatingMode {
     },
 }
 
-/// A flit in transit on a link, addressed to `(node, in_port, vc)`.
-#[derive(Debug, Clone)]
+/// A flit in transit on a link to input VC `vc` of the queue's port; the
+/// handle's `arrived` holds the cycle it reaches the far end.
+#[derive(Debug, Clone, Copy)]
 struct TimedFlit {
-    flit: Flit,
-    vc: usize,
-    arrive: u64,
+    flit: FlitHandle,
+    vc: u8,
 }
 
 /// A credit in transit back to a router's output port.
 #[derive(Debug, Clone, Copy)]
 struct TimedCredit {
-    port: usize,
-    vc: usize,
-    arrive: u64,
-}
-
-/// A credit produced this cycle, awaiting the end-of-step flush into the
-/// per-node queues. `port == NI_PORT` addresses the local NI's credit queue
-/// instead of a router output port.
-#[derive(Debug, Clone, Copy)]
-struct PendingCredit {
-    node: u32,
     port: u8,
     vc: u8,
     arrive: u64,
-}
-
-/// Sentinel port in [`PendingCredit`] for the NI credit queue.
-const NI_PORT: u8 = u8::MAX;
-
-/// A link flit sent this cycle, awaiting the end-of-step flush into the
-/// destination port's `link_in` queue.
-#[derive(Debug, Clone)]
-struct PendingLink {
-    node: u32,
-    port: u8,
-    vc: u8,
-    arrive: u64,
-    flit: Flit,
 }
 
 /// Cycles in which each pipeline stage had non-empty work (at least one
@@ -156,15 +139,16 @@ struct Ni {
     /// Packets waiting to enter the network, one FIFO per virtual network
     /// (message classes must not block each other at the source either).
     source: Vec<VecDeque<Packet>>,
-    /// Packet currently being injected, with the next flit index and the
-    /// cycle its head flit was written (shared `injected` stamp).
-    injecting: Option<(Packet, u32, u64)>,
+    /// Packet currently being injected, as its packet-table slot, the next
+    /// flit index and the packet length.
+    injecting: Option<(u32, u32, u32)>,
     /// VC chosen for the packet currently being injected.
     inject_vc: usize,
     /// Free-slot credits for the router's local input VCs.
     credits: Vec<u32>,
-    /// In-flight credit returns from the local input port.
-    credit_queue: VecDeque<(u64, usize)>,
+    /// In-flight credit returns from the local input port, as
+    /// `(arrival cycle, vc)`.
+    credit_queue: VecDeque<(u64, u8)>,
     /// Round-robin pointer for VC choice.
     vc_rr: usize,
     /// Round-robin pointer over vnet source queues.
@@ -368,6 +352,8 @@ pub struct Network {
     /// leaves the VC allocators on their classic code path.
     vc_classes: usize,
     params: RouterParams,
+    /// [`RouterParams::vnet_vcs`] of every vnet, precomputed.
+    vnet_vcs: Vec<std::ops::Range<usize>>,
     routers: Vec<Router>,
     /// Struct-of-arrays storage for every router's pipeline state.
     store: VcStore,
@@ -399,10 +385,8 @@ pub struct Network {
     fast_forward: bool,
     /// Per-stage busy-cycle counters (see [`StageCycles`]).
     stage_cycles: StageCycles,
-    /// Credits produced this cycle, flushed at end of step.
-    pending_credits: Vec<PendingCredit>,
-    /// Link flits sent this cycle, flushed at end of step.
-    pending_links: Vec<PendingLink>,
+    /// The packets inside the network, addressed by flit handles.
+    packets: PacketTable,
     now: u64,
 }
 
@@ -484,6 +468,9 @@ impl Network {
             neighbors,
             vc_classes,
             params,
+            vnet_vcs: (0..params.vnets)
+                .map(|v| params.vnet_vcs(v as u8))
+                .collect(),
             routers: vec![Router::new(); len],
             store,
             nis: (0..len).map(|_| Ni::new(&params)).collect(),
@@ -499,8 +486,7 @@ impl Network {
             engine: StepEngine::ActiveSet,
             fast_forward: true,
             stage_cycles: StageCycles::default(),
-            pending_credits: Vec::new(),
-            pending_links: Vec::new(),
+            packets: PacketTable::default(),
             now: 0,
         })
     }
@@ -768,6 +754,11 @@ impl Network {
             p.vnet,
             self.params.vnets
         );
+        assert!(
+            (1..=MAX_PACKET_FLITS).contains(&p.len),
+            "packet of {} flits outside 1..={MAX_PACKET_FLITS}",
+            p.len
+        );
         let vnet = usize::from(p.vnet);
         let node = p.src.0;
         let was_idle = self.nis[node].is_idle();
@@ -782,6 +773,14 @@ impl Network {
     /// Flits delivered to NIs since the last call.
     pub fn drain_ejections(&mut self) -> Vec<Ejection> {
         std::mem::take(&mut self.ejected)
+    }
+
+    /// [`Network::drain_ejections`] into a caller-owned buffer, which is
+    /// cleared first; the two buffers swap, so neither reallocates once
+    /// both have grown to a cycle's worth of ejections.
+    pub(crate) fn drain_ejections_into(&mut self, out: &mut Vec<Ejection>) {
+        out.clear();
+        std::mem::swap(&mut self.ejected, out);
     }
 
     /// Flits currently inside the network (router buffers + links);
@@ -881,18 +880,22 @@ impl Network {
     pub fn arbiter_pointers(&self, node: NodeId, port: Port) -> [u32; 3] {
         let pid = self.store.port_id(node.0, port.index());
         [
-            self.store.va_rr[pid],
+            self.store.va_ptr(pid) as u32,
             self.store.sa_in_rr[pid],
             self.store.sa_out_rr[pid],
         ]
     }
 
-    /// Asserts every active-set invariant against a ground-truth rescan.
-    /// Test support for the differential suite; not part of the public API.
+    /// Asserts every active-set invariant against a ground-truth rescan,
+    /// and the packet table against the network: the live slots are exactly
+    /// the packets with a flit buffered, a flit on a link, or an NI
+    /// mid-injection, and the free list holds each slot at most once. Test
+    /// support for the differential suite; not part of the public API.
     ///
     /// # Panics
     ///
-    /// Panics if any counter or work-list disagrees with actual state.
+    /// Panics if any counter, work-list or table slot disagrees with actual
+    /// state.
     #[doc(hidden)]
     pub fn validate_active_sets(&self) {
         let a = &self.active;
@@ -901,13 +904,46 @@ impl Network {
         let mut buffered = 0;
         let mut busy = 0;
         let mut queued = 0;
+        let live = self.packets.live_slots();
+        let mut referenced = vec![false; live.len()];
+        let mut reference = |h: FlitHandle, at: &dyn std::fmt::Display| {
+            let slot = h.slot as usize;
+            assert!(
+                live.get(slot) == Some(&true),
+                "{at} holds a flit of free slot {slot}"
+            );
+            let len = self.packets.packet(h.slot).len;
+            assert!(
+                h.seq() < len,
+                "{at}: flit {} of a {len}-flit packet",
+                h.seq()
+            );
+            assert_eq!(h.is_head(), h.seq() == 0, "{at}: head marker");
+            assert_eq!(h.is_tail(), h.seq() + 1 == len, "{at}: tail marker");
+            referenced[slot] = true;
+        };
         for node in 0..self.routers.len() {
             let mut l = 0;
             for port in 0..Port::COUNT {
-                let q = self.link_in[self.store.port_id(node, port)].len();
+                let q = &self.link_in[self.store.port_id(node, port)];
                 let bit = a.link_ports[node] & (1 << port) != 0;
-                assert_eq!(bit, q > 0, "link_ports bit {port} of node {node}");
-                l += q;
+                assert_eq!(bit, !q.is_empty(), "link_ports bit {port} of node {node}");
+                for tf in q {
+                    reference(tf.flit, &format_args!("link into n{node} port {port}"));
+                }
+                l += q.len();
+            }
+            if let Some((slot, seq, len)) = self.nis[node].injecting {
+                assert!(seq < len, "NI {node} injecting past its packet's tail");
+                assert_eq!(
+                    self.packets.packet(slot).len,
+                    len,
+                    "NI {node} packet length"
+                );
+                reference(
+                    FlitHandle::new(slot, seq, len, 0),
+                    &format_args!("NI {node}"),
+                );
             }
             assert!(l == 0 || a.link.contains(node), "link set missing {node}");
             let c = self.credit_in[node].len() + self.nis[node].credit_queue.len();
@@ -943,10 +979,17 @@ impl Network {
                         assert_eq!(self.store.head_arrived[id], front.arrived, "head mirror {id}");
                         assert_eq!(
                             self.store.head_is_head[id],
-                            front.kind.is_head(),
+                            front.is_head(),
                             "head-kind mirror {id}"
                         );
-                        assert_eq!(self.store.head_vnet[id], front.vnet, "vnet mirror {id}");
+                    }
+                    for h in self.store.flits(id) {
+                        assert_eq!(
+                            self.packets.packet(h.slot).vnet,
+                            self.store.lane_vnet[vc],
+                            "flit of another vnet in vc id {id}"
+                        );
+                        reference(h, &format_args!("vc id {id}"));
                     }
                     let holder = self.store.out_alloc[id];
                     let alloc_bit = self.store.alloc_mask[pid] & (1 << vc) != 0;
@@ -980,6 +1023,12 @@ impl Network {
             buffered += b;
             busy += usize::from(ni_busy);
             queued += self.nis[node].queued();
+        }
+        for (slot, (&l, &r)) in live.iter().zip(&referenced).enumerate() {
+            assert_eq!(
+                l, r,
+                "packet-table slot {slot}: live={l} but referenced={r}"
+            );
         }
         assert_eq!(a.total_links, links, "total_links");
         assert_eq!(a.total_credits, credits, "total_credits");
@@ -1049,15 +1098,9 @@ impl Network {
         let credit_events = self.deliver_credits(now);
 
         // Stage 1: deliver link flits (BW + RC). A dark-router contract
-        // violation aborts the cycle, but credits already produced (e.g. by
-        // dropping VCs) must still land in the queues.
-        let link_events = match self.deliver_flits(now, probe.as_deref_mut()) {
-            Ok(n) => n,
-            Err(e) => {
-                self.flush_pending();
-                return Err(e);
-            }
-        };
+        // violation aborts the cycle; credits already returned (e.g. by
+        // dropping VCs) have landed in their queues.
+        let link_events = self.deliver_flits(now, probe.as_deref_mut())?;
 
         // Stage 2: NI injection (BW + RC at the local port).
         let inject_events = self.inject(now, probe.as_deref_mut());
@@ -1072,11 +1115,6 @@ impl Network {
         // Stage 4: switch allocation + traversal.
         let (sa_events, ejections) = self.switch_allocate(now, probe);
 
-        // Land this cycle's link traversals and credit returns in the
-        // per-node queues (all arrivals are strictly in the future, so no
-        // stage this cycle could have observed them).
-        self.flush_pending();
-
         let sc = &mut self.stage_cycles;
         sc.credit += u64::from(credit_events > 0);
         sc.link += u64::from(link_events > 0);
@@ -1088,45 +1126,6 @@ impl Network {
 
         self.now += 1;
         Ok(StepReport { events, ejections })
-    }
-
-    /// Flushes the cycle's batched link traversals and credit returns into
-    /// the per-node queues, updating the in-flight counters and work-lists.
-    /// Append order within each queue matches the order the stage bodies
-    /// produced the entries, which both engines generate identically.
-    fn flush_pending(&mut self) {
-        let mut credits = std::mem::take(&mut self.pending_credits);
-        for pc in credits.drain(..) {
-            let node = pc.node as usize;
-            if pc.port == NI_PORT {
-                self.nis[node]
-                    .credit_queue
-                    .push_back((pc.arrive, pc.vc as usize));
-            } else {
-                self.credit_in[node].push_back(TimedCredit {
-                    port: pc.port as usize,
-                    vc: pc.vc as usize,
-                    arrive: pc.arrive,
-                });
-            }
-            self.active.credit_pending[node] += 1;
-            self.active.total_credits += 1;
-            self.active.credit.insert(node);
-        }
-        self.pending_credits = credits;
-        let mut links = std::mem::take(&mut self.pending_links);
-        for pl in links.drain(..) {
-            let node = pl.node as usize;
-            self.link_in[self.store.port_id(node, pl.port as usize)].push_back(TimedFlit {
-                flit: pl.flit,
-                vc: pl.vc as usize,
-                arrive: pl.arrive,
-            });
-            self.active.link_ports[node] |= 1 << pl.port;
-            self.active.total_links += 1;
-            self.active.link.insert(node);
-        }
-        self.pending_links = links;
     }
 
     /// Emits scheduled fault transitions whose cycle has come, in schedule
@@ -1383,7 +1382,9 @@ impl Network {
                 break;
             }
             let c = self.credit_in[node].pop_front().expect("checked front");
-            let out_id = self.store.vc_id(node, c.port, c.vc);
+            let out_id = self
+                .store
+                .vc_id(node, usize::from(c.port), usize::from(c.vc));
             self.store.credits[out_id] += 1;
             debug_assert!(
                 self.store.credits[out_id] <= self.params.buffer_depth as u32,
@@ -1401,6 +1402,7 @@ impl Network {
                 break;
             }
             ni.credit_queue.pop_front();
+            let vc = usize::from(vc);
             ni.credits[vc] += 1;
             debug_assert!(ni.credits[vc] <= self.params.buffer_depth as u32);
             self.active.credit_pending[node] -= 1;
@@ -1448,9 +1450,8 @@ impl Network {
 
     /// Stage-1 body for one node: lands every arrived link flit (BW + RC),
     /// visiting only the input ports whose queues hold flits, in ascending
-    /// port order. No flit is enqueued during the stage (traversals are
-    /// batched until the end-of-step flush), so the snapshot of the
-    /// non-empty-port mask taken here is exact.
+    /// port order. Links are only written by traversal in stage 4, so the
+    /// snapshot of the non-empty-port mask taken here is exact.
     fn deliver_flits_at(
         &mut self,
         node: usize,
@@ -1468,7 +1469,7 @@ impl Network {
             ports &= ports - 1;
             let q = self.store.port_id(node, port_idx);
             while let Some(tf) = self.link_in[q].front() {
-                if tf.arrive > now {
+                if tf.flit.arrived > now {
                     break;
                 }
                 if !self.routers[node].powered_on {
@@ -1490,7 +1491,7 @@ impl Network {
                 self.buffer_write(
                     node,
                     Port::from_index(port_idx),
-                    tf.vc,
+                    usize::from(tf.vc),
                     tf.flit,
                     now,
                     probe.as_deref_mut(),
@@ -1504,40 +1505,36 @@ impl Network {
     /// BW stage: writes a flit into an input VC; runs RC if it exposes a new
     /// packet head at the buffer front. A VC in [`VcState::Dropping`]
     /// consumes the flit instead (returning its credit) until the tail ends
-    /// the doomed packet.
+    /// the doomed packet, whose table slot the tail then frees.
     fn buffer_write(
         &mut self,
         node: usize,
         port: Port,
         vc: usize,
-        mut flit: Flit,
+        mut flit: FlitHandle,
         now: u64,
         probe: Option<&mut (dyn Probe + '_)>,
     ) {
         debug_assert_eq!(
-            self.params.vc_vnet(vc),
-            flit.vnet,
-            "flit on vnet {} written into VC {vc} of another partition",
-            flit.vnet
+            self.store.lane_vnet[vc],
+            self.packets.packet(flit.slot).vnet,
+            "flit written into VC {vc} of another vnet's partition"
         );
         flit.arrived = now;
         self.routers[node].last_activity = now;
         let id = self.store.vc_id(node, port.index(), vc);
         if self.store.phase[id] == VcPhase::Dropping {
-            debug_assert!(!flit.kind.is_head(), "head flit arrived on a dropping VC");
+            debug_assert!(!flit.is_head(), "head flit arrived on a dropping VC");
             self.fault_stats.flits_dropped += 1;
-            if flit.kind.is_tail() {
+            if flit.is_tail() {
                 self.store.set_phase(id, VcPhase::Idle);
+                self.packets.free(flit.slot);
             }
             self.return_credit(node, port, vc, now);
             return;
         }
-        debug_assert!(
-            self.store.occupancy(id) < self.params.buffer_depth,
-            "buffer overflow at node {node} {port} vc {vc}: credit protocol violated"
-        );
         let was_empty = self.store.occupancy(id) == 0;
-        let is_head = flit.kind.is_head();
+        let is_head = flit.is_head();
         self.store.push_flit(id, flit);
         self.active.buffered[node] += 1;
         self.active.total_buffered += 1;
@@ -1597,10 +1594,10 @@ impl Network {
                 }
                 Some(head) => {
                     assert!(
-                        head.kind.is_head(),
+                        head.is_head(),
                         "non-head flit {head:?} at the front of an unrouted VC"
                     );
-                    head.dst
+                    self.packets.packet(head.slot).dst
                 }
             };
             match self.compute_route(node, dst, now) {
@@ -1625,8 +1622,9 @@ impl Network {
 
     /// Discards the packet whose head flit fronts an input VC, returning a
     /// credit for every buffered flit. Returns `true` when the tail was
-    /// among them (VC back to [`VcState::Idle`]); `false` when flits are
-    /// still in flight and the VC stays in [`VcState::Dropping`].
+    /// among them (VC back to [`VcState::Idle`], table slot freed); `false`
+    /// when flits are still in flight and the VC stays in
+    /// [`VcState::Dropping`].
     fn drop_head_packet(
         &mut self,
         node: usize,
@@ -1641,8 +1639,9 @@ impl Network {
                 .store
                 .front(id)
                 .expect("drop target has a buffered head flit");
-            debug_assert!(head.kind.is_head());
-            (head.packet, head.measured)
+            debug_assert!(head.is_head());
+            let p = self.packets.packet(head.slot);
+            (p.id, p.measured)
         };
         self.fault_stats.packets_dropped += 1;
         if measured {
@@ -1659,19 +1658,18 @@ impl Network {
             );
         }
         loop {
-            let flit = match self.store.pop_flit(id) {
-                Some(f) => f,
-                None => {
-                    self.store.set_phase(id, VcPhase::Dropping);
-                    return false;
-                }
-            };
+            if self.store.occupancy(id) == 0 {
+                self.store.set_phase(id, VcPhase::Dropping);
+                return false;
+            }
+            let flit = self.store.pop_flit(id);
             self.active.buffered[node] -= 1;
             self.active.total_buffered -= 1;
             self.fault_stats.flits_dropped += 1;
             self.return_credit(node, port, vc, now);
-            if flit.kind.is_tail() {
+            if flit.is_tail() {
                 self.store.set_phase(id, VcPhase::Idle);
+                self.packets.free(flit.slot);
                 return true;
             }
         }
@@ -1731,15 +1729,16 @@ impl Network {
                         }
                     };
                     let Port::Dir(d) = out_port else { continue };
-                    let (packet, dst, is_head) = {
-                        let Some(front) = self.store.front(id) else {
-                            continue;
-                        };
-                        (front.packet, front.dst, front.kind.is_head())
+                    let Some(front) = self.store.front(id) else {
+                        continue;
                     };
-                    if !is_head {
+                    if !front.is_head() {
                         continue; // packet already crossing; let it finish
                     }
+                    let (packet, dst) = {
+                        let p = self.packets.packet(front.slot);
+                        (p.id, p.dst)
+                    };
                     let next = self
                         .neighbor_of(node, d)
                         .expect("routed off the topology");
@@ -1788,37 +1787,34 @@ impl Network {
     }
 
     /// Returns one credit upstream for a flit that left (or was dropped
-    /// from) the input VC `(port, vc)` at `node`.
-    ///
-    /// Credits are *staged* in [`Network::pending_credits`] and landed in
-    /// the upstream queues by [`Network::flush_pending`] at the end of the
-    /// step: arrivals are strictly in the future (stage 1 already ran), so
-    /// batching is unobservable, and it keeps the allocator loops free of
-    /// scattered queue pushes.
+    /// from) the input VC `(port, vc)` at `node`, straight into the
+    /// upstream router's (or the local NI's) credit queue. Stage 0, the
+    /// queue's only reader, has already run this cycle, so the credit is
+    /// first seen next cycle at the earliest.
     fn return_credit(&mut self, node: usize, port: Port, vc: usize, now: u64) {
         let arrive = now + self.params.credit_delay;
         let vc = vc as u8;
-        match port {
+        let upstream = match port {
             Port::Local => {
-                self.pending_credits.push(PendingCredit {
-                    node: node as u32,
-                    port: NI_PORT,
-                    vc,
-                    arrive,
-                });
+                self.nis[node].credit_queue.push_back((arrive, vc));
+                node
             }
             Port::Dir(d) => {
                 let upstream = self
                     .neighbor_of(node, d)
-                    .expect("flit entered through an edge port");
-                self.pending_credits.push(PendingCredit {
-                    node: upstream.0 as u32,
+                    .expect("flit entered through an edge port")
+                    .0;
+                self.credit_in[upstream].push_back(TimedCredit {
                     port: Port::Dir(d.opposite()).index() as u8,
                     vc,
                     arrive,
                 });
+                upstream
             }
-        }
+        };
+        self.active.credit_pending[upstream] += 1;
+        self.active.total_credits += 1;
+        self.active.credit.insert(upstream);
     }
 
     fn inject(&mut self, now: u64, mut probe: Option<&mut (dyn Probe + '_)>) -> usize {
@@ -1862,22 +1858,28 @@ impl Network {
         let ni = &mut self.nis[node];
         if ni.injecting.is_none() {
             // Pick the next packet round-robin over vnet queues, then a
-            // free VC within that packet's vnet partition.
+            // free VC within that packet's vnet partition. Both pointers
+            // stay below their modulus, so one conditional subtraction
+            // wraps each sum.
+            let wrap = |x: usize, n: usize| if x >= n { x - n } else { x };
             let vnets = ni.source.len();
             'pick: for k in 0..vnets {
-                let vq = (ni.vnet_rr + k) % vnets;
+                let vq = wrap(ni.vnet_rr + k, vnets);
                 let Some(pkt) = ni.source[vq].front().copied() else {
                     continue;
                 };
-                let range = self.params.vnet_vcs(pkt.vnet);
+                let range = self.vnet_vcs[usize::from(pkt.vnet)].clone();
                 let width = range.len();
                 for j in 0..width {
-                    let v = range.start + (ni.vc_rr + j) % width;
+                    let v = range.start + wrap(ni.vc_rr + j, width);
                     if ni.credits[v] > 0 {
-                        ni.vc_rr = (v - range.start + 1) % width;
-                        ni.vnet_rr = (vq + 1) % vnets;
+                        ni.vc_rr = wrap(v - range.start + 1, width);
+                        ni.vnet_rr = wrap(vq + 1, vnets);
                         ni.inject_vc = v;
-                        ni.injecting = Some((pkt, 0, now));
+                        // The head goes in below, this cycle: `now` is the
+                        // packet's injection stamp.
+                        let slot = self.packets.alloc(pkt, now);
+                        ni.injecting = Some((slot, 0, pkt.len));
                         ni.source[vq].pop_front();
                         self.active.queued_packets -= 1;
                         break 'pick;
@@ -1886,13 +1888,12 @@ impl Network {
             }
         }
         let ni = &mut self.nis[node];
-        if let Some((pkt, seq, head_cycle)) = ni.injecting {
+        if let Some((slot, seq, len)) = ni.injecting {
             let v = ni.inject_vc;
             if ni.credits[v] > 0 {
                 ni.credits[v] -= 1;
-                let flit = pkt.flit(seq, head_cycle);
-                let done = seq + 1 == pkt.len;
-                self.nis[node].injecting = if done { None } else { Some((pkt, seq + 1, head_cycle)) };
+                let flit = FlitHandle::new(slot, seq, len, now);
+                ni.injecting = (seq + 1 < len).then_some((slot, seq + 1, len));
                 self.buffer_write(node, Port::Local, v, flit, now, probe.as_deref_mut());
                 if let Some(p) = probe {
                     p.on_injection(now, NodeId(node));
@@ -1989,7 +1990,7 @@ impl Network {
                     let id = self.store.vc_id(node, in_port, in_vc);
                     if let VcState::RouteComputed { out_port } = self.store.state(id) {
                         if let Some(head) = self.store.front(id) {
-                            debug_assert!(head.kind.is_head());
+                            debug_assert!(head.is_head());
                             if head.arrived + self.params.va_delay <= now {
                                 requests.push((
                                     in_port * vcs + in_vc,
@@ -2007,7 +2008,7 @@ impl Network {
             }
             for out_idx in 0..Port::COUNT {
                 let out_pid = self.store.port_id(node, out_idx);
-                let ptr = self.store.va_rr[out_pid] as usize;
+                let ptr = self.store.va_ptr(out_pid);
                 let mut reqs: Vec<&(usize, usize, usize, usize)> = requests
                     .iter()
                     .filter(|(_, _, _, o)| *o == out_idx)
@@ -2028,7 +2029,8 @@ impl Network {
                         .store
                         .front(self.store.vc_id(node, in_port, in_vc))
                         .expect("VA requester has a buffered head flit");
-                    let (vnet, dst) = (front.vnet, front.dst);
+                    let packet = self.packets.packet(front.slot);
+                    let (vnet, dst) = (packet.vnet, packet.dst);
                     let range = self.class_range(node, out_idx, dst, self.params.vnet_vcs(vnet));
                     let out_vc = range
                         .clone()
@@ -2039,7 +2041,7 @@ impl Network {
                     grants += 1;
                 }
                 if let Some(id) = last_granted_id {
-                    self.store.va_rr[out_pid] = ((id + 1) % id_space) as u32;
+                    self.store.set_va_ptr(out_pid, (id + 1) % id_space);
                 }
             }
         }
@@ -2054,12 +2056,15 @@ impl Network {
     /// so the ids in the oracle's per-output request list are unique and its
     /// stable sort by rotated distance `(id - ptr) mod id_space` visits them
     /// in rotated ascending local-id order from `ptr`. Local ids are
-    /// `in_port * vcs + in_vc`, so with `(p0, v0) = (ptr / vcs, ptr % vcs)`
-    /// that order is: the request bits `>= v0` of port `p0`, then every bit
-    /// of ports `p0 + 1, ...` (wrapping past the last port), then the bits
-    /// `< v0` of `p0` — each mask walked in ascending bit order. Outputs
-    /// without requests are no-ops in the oracle (no grant, no pointer
-    /// move), so visiting only requested outputs, ascending, matches it.
+    /// `in_port * vcs + in_vc`, and the pointer is stored split as
+    /// `(p0, v0) = (ptr / vcs, ptr % vcs)`, so that order is: the request
+    /// bits `>= v0` of port `p0`, then every bit of ports `p0 + 1, ...`
+    /// (wrapping past the last port), then the bits `< v0` of `p0` — each
+    /// mask walked in ascending bit order. Outputs without requests are
+    /// no-ops in the oracle (no grant, no pointer move), so visiting only
+    /// requested outputs, ascending, matches it. A requester's vnet is its
+    /// input VC's (VCs are partitioned by vnet), so its output partition is
+    /// a per-lane constant.
     fn vc_allocate_at_fast(
         &mut self,
         node: usize,
@@ -2099,15 +2104,18 @@ impl Network {
             let out_idx = outs.trailing_zeros() as usize;
             outs &= outs - 1;
             let out_pid = self.store.port_id(node, out_idx);
-            let ptr = self.store.va_rr[out_pid] as usize;
-            let (p0, v0) = (ptr / vcs, ptr % vcs);
+            let (p0, v0) = self.store.va_rr[out_pid];
+            let (p0, v0) = (usize::from(p0), usize::from(v0));
             // `v0 < vcs <= 64`, so the shift cannot overflow.
             let below = (1u64 << v0) - 1;
             let mut last_granted = None;
             // Step 0 is port p0's bits >= v0, steps 1..COUNT the following
             // ports whole, step COUNT wraps back to p0's bits < v0.
             for step in 0..=Port::COUNT {
-                let in_port = (p0 + step) % Port::COUNT;
+                let mut in_port = p0 + step;
+                if in_port >= Port::COUNT {
+                    in_port -= Port::COUNT;
+                }
                 let keep = match step {
                     0 => !below,
                     Port::COUNT => below,
@@ -2117,28 +2125,29 @@ impl Network {
                 while mask != 0 {
                     let in_vc = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let id = self.store.vc_id(node, in_port, in_vc);
-                    let mut range = self.params.vnet_vcs(self.store.head_vnet[id]);
+                    let mut lanes = self.store.lane_vnet_mask[in_vc];
                     if self.vc_classes > 1 {
                         // Escape-class narrowing; guarded so single-class
-                        // topologies never touch the front flit here.
-                        let dst = self
+                        // topologies never touch the packet table here.
+                        let id = self.store.vc_id(node, in_port, in_vc);
+                        let front = self
                             .store
                             .front(id)
-                            .expect("VA requester has a buffered head flit")
-                            .dst;
-                        range = self.class_range(node, out_idx, dst, range);
+                            .expect("VA requester has a buffered head flit");
+                        let dst = self.packets.packet(front.slot).dst;
+                        let range = self.vnet_vcs[usize::from(self.store.lane_vnet[in_vc])].clone();
+                        lanes = lane_mask(self.class_range(node, out_idx, dst, range));
                     }
-                    let Some(out_vc) = self.store.first_free_out_vc(out_pid, range) else {
+                    let Some(out_vc) = self.store.first_free_out_vc(out_pid, lanes) else {
                         continue;
                     };
                     self.grant_vc(node, in_port, in_vc, out_idx, out_vc, now, probe.as_deref_mut());
-                    last_granted = Some(in_port * vcs + in_vc);
+                    last_granted = Some((in_port, in_vc));
                     grants += 1;
                 }
             }
-            if let Some(local) = last_granted {
-                self.store.va_rr[out_pid] = ((local + 1) % (Port::COUNT * vcs)) as u32;
+            if let Some((in_port, in_vc)) = last_granted {
+                self.store.set_va_ptr_after(out_pid, in_port, in_vc);
             }
         }
         grants
@@ -2233,7 +2242,7 @@ impl Network {
                     {
                         continue;
                     }
-                    if !self.sa_fault_ok(node, head.kind.is_head(), out_port, now) {
+                    if !self.sa_fault_ok(node, head.is_head(), out_port, now) {
                         continue;
                     }
                     let rank = (in_vc + vcs - ptr) % vcs;
@@ -2287,11 +2296,18 @@ impl Network {
         now: u64,
         probe: Option<&mut (dyn Probe + '_)>,
     ) {
-        let vcs = self.store.vcs();
         let in_pid = self.store.port_id(node, in_port);
         let out_pid = self.store.port_id(node, out_idx);
-        self.store.sa_in_rr[in_pid] = ((in_vc + 1) % vcs) as u32;
-        self.store.sa_out_rr[out_pid] = ((in_port + 1) % Port::COUNT) as u32;
+        self.store.sa_in_rr[in_pid] = if in_vc + 1 == self.store.vcs() {
+            0
+        } else {
+            in_vc as u32 + 1
+        };
+        self.store.sa_out_rr[out_pid] = if in_port + 1 == Port::COUNT {
+            0
+        } else {
+            in_port as u32 + 1
+        };
         if let Some(p) = probe {
             p.on_switch_grant(now, NodeId(node));
         }
@@ -2340,6 +2356,7 @@ impl Network {
         let mut stage1 = [(0u8, 0u8); Port::COUNT];
         let mut want = [0u32; Port::COUNT];
         let mut outs = 0u32;
+        let faults = self.faults.is_some();
         for (in_port, slot) in stage1.iter_mut().enumerate() {
             let in_pid = self.store.port_id(node, in_port);
             let cand = self.store.active_mask[in_pid] & self.store.occ_mask[in_pid];
@@ -2365,7 +2382,7 @@ impl Network {
                 {
                     continue;
                 }
-                if !self.sa_fault_ok(node, self.store.head_is_head[id], out_port, now) {
+                if faults && !self.sa_fault_ok(node, self.store.head_is_head[id], out_port, now) {
                     continue;
                 }
                 *slot = (in_vc as u8, out_vc as u8);
@@ -2407,7 +2424,9 @@ impl Network {
         (grants, ejections)
     }
 
-    /// ST + LT for one granted flit; returns whether it was an ejection.
+    /// ST + LT for one granted flit; returns whether it was an ejection. An
+    /// ejected flit is rebuilt wide from the packet table, and an ejected
+    /// tail frees its packet's slot.
     #[allow(clippy::too_many_arguments)]
     fn traverse(
         &mut self,
@@ -2420,7 +2439,8 @@ impl Network {
         mut probe: Option<&mut (dyn Probe + '_)>,
     ) -> bool {
         let id = self.store.vc_id(node, in_port, in_vc);
-        let flit = self.store.pop_flit(id).expect("SA granted an empty VC");
+        debug_assert!(self.store.occupancy(id) > 0, "SA granted an empty VC");
+        let flit = self.store.pop_flit(id);
         {
             let router = &mut self.routers[node];
             router.last_activity = now;
@@ -2441,13 +2461,16 @@ impl Network {
         self.return_credit(node, in_port_t, in_vc, now);
 
         // Downstream delivery.
-        let is_tail = flit.kind.is_tail();
+        let is_tail = flit.is_tail();
         let ejected = match out_port {
             Port::Local => {
                 self.ejected.push(Ejection {
-                    flit,
+                    flit: self.packets.flit(flit),
                     at: now + self.params.link_delay,
                 });
+                if is_tail {
+                    self.packets.free(flit.slot);
+                }
                 if let Some(p) = probe.as_deref_mut() {
                     p.on_ejection(now, NodeId(node));
                 }
@@ -2463,17 +2486,19 @@ impl Network {
                     .expect("routing sent flit off the topology");
                 let next_in_port = Port::Dir(d.opposite()).index();
                 let latency = self.link_latency(NodeId(node), next);
-                // Staged, landed by flush_pending at end of step: at most
-                // one flit per (node, port) queue per cycle, and arrivals
-                // are strictly after this cycle's stage 1, so batching is
-                // unobservable.
-                self.pending_links.push(PendingLink {
-                    node: next.0 as u32,
-                    port: next_in_port as u8,
+                // Lands straight in the far port's queue: stage 1, its only
+                // reader, has already run this cycle and the arrival is at
+                // `now + 1` or later.
+                let mut in_transit = flit;
+                in_transit.arrived = now + latency;
+                let q = self.store.port_id(next.0, next_in_port);
+                self.link_in[q].push_back(TimedFlit {
+                    flit: in_transit,
                     vc: out_vc as u8,
-                    arrive: now + latency,
-                    flit,
                 });
+                self.active.link_ports[next.0] |= 1 << next_in_port;
+                self.active.total_links += 1;
+                self.active.link.insert(next.0);
                 if let Some(p) = probe.as_deref_mut() {
                     p.on_link_traversal(now, NodeId(node), next);
                 }
@@ -2652,6 +2677,58 @@ mod tests {
         assert!(
             stalled,
             "no packet stalled mid-injection; the test lost its point"
+        );
+    }
+
+    #[test]
+    fn drain_ejections_into_matches_drain_ejections() {
+        let mut a = net();
+        let mut b = net();
+        for n in [&mut a, &mut b] {
+            for i in 0..20 {
+                n.enqueue_packet(packet(i, (i % 16) as usize, ((i * 5) % 16) as usize, 3, 0));
+            }
+        }
+        let mut buf = Vec::new();
+        let mut delivered = 0;
+        for _ in 0..500 {
+            a.step().unwrap();
+            b.step().unwrap();
+            b.drain_ejections_into(&mut buf);
+            assert_eq!(a.drain_ejections(), buf);
+            delivered += buf.len();
+        }
+        assert!(a.is_drained() && b.is_drained());
+        assert_eq!(delivered, 20 * 3);
+    }
+
+    #[test]
+    fn packet_slots_are_released_when_tails_leave() {
+        let mut net = net();
+        let mut peak = 0;
+        for i in 0..60 {
+            net.enqueue_packet(packet(i, (i % 16) as usize, ((i * 7) % 16) as usize, 5, 0));
+        }
+        for _ in 0..5_000 {
+            net.step().unwrap();
+            net.drain_ejections();
+            peak = peak.max(net.packets.live_slots().iter().filter(|&&l| l).count());
+            if net.is_drained() {
+                break;
+            }
+        }
+        assert!(net.is_drained());
+        net.validate_active_sets();
+        let slots = net.packets.live_slots();
+        assert!(
+            slots.iter().all(|&l| !l),
+            "a drained network holds no packets"
+        );
+        assert!(peak > 1, "packets overlapped in the network");
+        assert_eq!(
+            slots.len(),
+            peak,
+            "freed slots are reused before the table grows"
         );
     }
 

@@ -119,6 +119,131 @@ impl Packet {
     }
 }
 
+/// Longest packet the network accepts, in flits: a [`FlitHandle`] keeps the
+/// flit index in the 30 bits its head/tail markers leave free.
+pub const MAX_PACKET_FLITS: u32 = 1 << 30;
+
+/// The in-network form of a flit: a 16-byte handle into the network's
+/// [`PacketTable`], which holds every per-packet field once. The wide
+/// [`Flit`] is rebuilt from the table only when a flit leaves the network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FlitHandle {
+    /// Packet-table slot of the parent packet.
+    pub(crate) slot: u32,
+    /// `seq << 2 | tail << 1 | head`.
+    meta: u32,
+    /// Buffer-write cycle while the flit sits in an input VC; scheduled
+    /// arrival cycle while it is on a link.
+    pub(crate) arrived: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<FlitHandle>() == 16);
+
+impl FlitHandle {
+    /// The `seq`-th flit of the `len`-flit packet in `slot`.
+    #[inline]
+    pub(crate) fn new(slot: u32, seq: u32, len: u32, arrived: u64) -> Self {
+        debug_assert!(seq < len && len <= MAX_PACKET_FLITS);
+        let head = u32::from(seq == 0);
+        let tail = u32::from(seq + 1 == len);
+        FlitHandle {
+            slot,
+            meta: seq << 2 | tail << 1 | head,
+            arrived,
+        }
+    }
+
+    /// Index within the packet, `0` for the head.
+    #[inline]
+    pub(crate) fn seq(self) -> u32 {
+        self.meta >> 2
+    }
+
+    /// Whether this flit opens its packet ([`FlitKind::is_head`]).
+    #[inline]
+    pub(crate) fn is_head(self) -> bool {
+        self.meta & 1 != 0
+    }
+
+    /// Whether this flit closes its packet ([`FlitKind::is_tail`]).
+    #[inline]
+    pub(crate) fn is_tail(self) -> bool {
+        self.meta & 2 != 0
+    }
+}
+
+/// A packet inside the network and the cycle its head flit entered it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PacketEntry {
+    pub(crate) packet: Packet,
+    /// Head injection cycle: the `injected` stamp of every flit.
+    pub(crate) injected: u64,
+}
+
+/// Slot table of the packets inside the network. A slot is taken when an
+/// NI starts injecting a packet and released when the packet's tail leaves
+/// the network (ejected, or consumed by fault handling); freed slots are
+/// reused last-in first-out.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PacketTable {
+    entries: Vec<PacketEntry>,
+    free: Vec<u32>,
+}
+
+impl PacketTable {
+    /// Stores a packet whose head enters the network at `injected`.
+    pub(crate) fn alloc(&mut self, packet: Packet, injected: u64) -> u32 {
+        let entry = PacketEntry { packet, injected };
+        match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.entries.push(entry);
+                u32::try_from(self.entries.len() - 1).expect("packet table overflow")
+            }
+        }
+    }
+
+    /// Releases a slot once its packet's tail has left the network.
+    #[inline]
+    pub(crate) fn free(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    /// The packet in a live slot.
+    #[inline]
+    pub(crate) fn packet(&self, slot: u32) -> &Packet {
+        &self.entries[slot as usize].packet
+    }
+
+    /// Rebuilds the wide [`Flit`] a handle stands for.
+    pub(crate) fn flit(&self, h: FlitHandle) -> Flit {
+        let e = &self.entries[h.slot as usize];
+        let mut flit = e.packet.flit(h.seq(), e.injected);
+        flit.arrived = h.arrived;
+        flit
+    }
+
+    /// Which slots are live (`true`) or on the free list (`false`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the free list holds a slot twice or one out of range.
+    pub(crate) fn live_slots(&self) -> Vec<bool> {
+        let mut live = vec![true; self.entries.len()];
+        for &slot in &self.free {
+            let s = live
+                .get_mut(slot as usize)
+                .unwrap_or_else(|| panic!("free slot {slot} out of range"));
+            assert!(*s, "slot {slot} is on the free list twice");
+            *s = false;
+        }
+        live
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,5 +309,44 @@ mod tests {
     fn flit_index_out_of_range_panics() {
         let p = packet(3);
         let _ = p.flit(3, 0);
+    }
+
+    #[test]
+    fn table_rebuilds_the_wide_flit() {
+        let mut table = PacketTable::default();
+        for len in [1, 2, 5] {
+            let p = packet(len);
+            let slot = table.alloc(p, 42);
+            for seq in 0..len {
+                let h = FlitHandle::new(slot, seq, len, 50 + u64::from(seq));
+                let want = p.flit(seq, 42);
+                assert_eq!(h.seq(), seq);
+                assert_eq!(h.is_head(), want.kind.is_head());
+                assert_eq!(h.is_tail(), want.kind.is_tail());
+                assert_eq!(
+                    table.flit(h),
+                    Flit {
+                        arrived: 50 + u64::from(seq),
+                        ..want
+                    }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_reuses_freed_slots_and_tracks_liveness() {
+        let mut table = PacketTable::default();
+        let a = table.alloc(packet(1), 0);
+        let b = table.alloc(packet(2), 0);
+        table.free(a);
+        assert_eq!(table.live_slots(), vec![false, true]);
+        assert_eq!(table.alloc(packet(3), 7), a, "freed slot reused");
+        assert_eq!(table.packet(a).len, 3);
+        assert_eq!(table.live_slots(), vec![true, true]);
+        table.free(b);
+        table.free(b);
+        let dup = std::panic::catch_unwind(|| table.live_slots());
+        assert!(dup.is_err(), "a slot freed twice must be reported");
     }
 }

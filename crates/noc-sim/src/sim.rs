@@ -184,6 +184,9 @@ impl Simulation {
         let mut activity_per_router = Vec::new();
         let mut sleep_stats = Vec::new();
         let mut saturated = false;
+        // Per-cycle buffers, reused so the loop allocates nothing.
+        let mut generated = Vec::new();
+        let mut ejections = Vec::new();
 
         if let Some(p) = probe.as_deref_mut() {
             p.on_phase(SimPhase::Warmup, self.net.now());
@@ -246,7 +249,8 @@ impl Simulation {
 
             // Open-loop generation continues through drain (unmeasured).
             let in_measure = (warmup_end..measure_end).contains(&now);
-            for p in self.traffic.generate(now, in_measure) {
+            self.traffic.generate_into(now, in_measure, &mut generated);
+            for p in generated.drain(..) {
                 if p.measured {
                     measured_generated += 1;
                 }
@@ -259,7 +263,8 @@ impl Simulation {
                     self.net.validate_active_sets();
                 }
             }
-            for e in self.net.drain_ejections() {
+            self.net.drain_ejections_into(&mut ejections);
+            for e in &ejections {
                 let f = e.flit;
                 if in_measure {
                     window_flits += 1;

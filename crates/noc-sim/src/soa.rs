@@ -1,12 +1,12 @@
 //! Struct-of-arrays storage for the router pipeline's hot state.
 //!
-//! The cycle engine's stage loops used to pointer-chase through
-//! `Vec<Router>` — each router a bundle of nested `Vec<Vec<VirtualChannel>>`
-//! with the flit payloads inline — so a VC-allocation sweep over a busy mesh
-//! dragged whole flit queues through the cache to read a one-byte state tag.
-//! [`VcStore`] flips the layout: every scalar a stage scans lives in a flat
-//! array indexed by a dense id, and the flit payloads sit apart in one
-//! [`FlitQueue`] per VC, touched only when a flit actually moves.
+//! [`VcStore`] keeps every scalar a stage scans in a flat array indexed by
+//! a dense id, and the buffered flits — 16-byte
+//! [`FlitHandle`](crate::packet::FlitHandle)s into the network's packet
+//! table — in one flat slot array: `buffer_depth` contiguous slots per
+//! input VC, used as a ring with per-VC head and length arrays. Nothing is
+//! ever allocated per flit; the credit protocol bounds each ring at its
+//! depth, which [`VcStore::push_flit`] asserts.
 //!
 //! # Dense indexing
 //!
@@ -19,10 +19,12 @@
 //! ```
 //!
 //! Input and output VCs share the same id arithmetic but index different
-//! arrays (`phase`/`route_*`/`bufs` vs `out_alloc`/`credits`). Iterating ids
+//! arrays (`phase`/`route_*`/rings vs `out_alloc`/`credits`). Iterating ids
 //! in ascending order is exactly the `(node, port, vc)` lexicographic order
 //! the exhaustive engine has always used, which is what keeps the
-//! struct-of-arrays engine bit-identical to the oracle.
+//! struct-of-arrays engine bit-identical to the oracle. The reverse map
+//! (id to port id and VC lane) is a table lookup, so the hot paths never
+//! divide by the run-time `V`.
 //!
 //! # Per-port masks
 //!
@@ -36,9 +38,9 @@
 //! always fits its port word).
 
 use crate::geometry::Port;
-use crate::packet::Flit;
+use crate::packet::FlitHandle;
 use crate::router::RouterParams;
-use crate::vc::{FlitQueue, VcState};
+use crate::vc::VcState;
 
 /// Sentinel in the output-allocation array for an unallocated output VC.
 pub const FREE_VC: u32 = u32::MAX;
@@ -59,6 +61,18 @@ pub enum VcPhase {
     Dropping = 3,
 }
 
+/// A bit mask of the VC lanes in `range` (`range.end <= 64`).
+#[inline]
+pub(crate) fn lane_mask(range: std::ops::Range<usize>) -> u64 {
+    let width = range.end - range.start;
+    let width_mask = if width == 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    };
+    width_mask << range.start
+}
+
 /// Flat per-stage arrays for every router's hot state, shared by the whole
 /// network. See the [module docs](self) for the indexing scheme.
 ///
@@ -68,6 +82,15 @@ pub enum VcPhase {
 pub struct VcStore {
     /// VCs per port (`V` in the indexing scheme).
     vcs: usize,
+    /// Flit slots per input VC.
+    depth: usize,
+    /// Per vc id: `port_id << 6 | lane`, the division-free inverse of
+    /// [`VcStore::vc_id`].
+    decode: Vec<u32>,
+    /// Per VC lane: the vnet that lane belongs to (fixed by the index).
+    pub(crate) lane_vnet: Vec<u8>,
+    /// Per VC lane: the lane mask of its vnet's VC partition.
+    pub(crate) lane_vnet_mask: Vec<u64>,
     // ---- input side, indexed by vc_id ----
     pub(crate) phase: Vec<VcPhase>,
     /// Output port requested/held ([`Port::index`]); valid in `Routed`/`Active`.
@@ -76,12 +99,15 @@ pub struct VcStore {
     pub(crate) route_vc: Vec<u8>,
     /// Mirror of the front flit's `arrived` stamp; valid while non-empty.
     pub(crate) head_arrived: Vec<u64>,
-    /// Mirror of `front().kind.is_head()`; valid while non-empty.
+    /// Mirror of the front flit's head marker; valid while non-empty.
     pub(crate) head_is_head: Vec<bool>,
-    /// Mirror of the front flit's vnet; valid while non-empty.
-    pub(crate) head_vnet: Vec<u8>,
-    /// Flit payload FIFOs, kept apart from the scalars the allocators scan.
-    pub(crate) bufs: Vec<FlitQueue>,
+    /// Flit rings: `depth` slots per VC, VC `id` owning
+    /// `slots[id * depth..(id + 1) * depth]`.
+    slots: Vec<FlitHandle>,
+    /// Ring index of each VC's front flit.
+    ring_head: Vec<u32>,
+    /// Buffered flits per VC (at most `depth`).
+    ring_len: Vec<u32>,
     /// Per `port_id`: bit `v` set iff input VC `v` is non-empty.
     pub(crate) occ_mask: Vec<u64>,
     /// Per `port_id`: bit `v` set iff input VC `v` is in [`VcPhase::Routed`].
@@ -106,9 +132,9 @@ pub struct VcStore {
     /// fast switch allocator.
     pub(crate) active_count: Vec<u32>,
     // ---- arbiter pointers ----
-    /// VA rotating-priority pointer per output `port_id`, over the
-    /// `P * V` input-vc id space.
-    pub(crate) va_rr: Vec<u32>,
+    /// VA rotating-priority pointer per output `port_id` over the `P * V`
+    /// input-vc id space, kept split as `(port, vc)`.
+    pub(crate) va_rr: Vec<(u8, u8)>,
     /// SA stage-1 pointer per input `port_id`, over `V`.
     pub(crate) sa_in_rr: Vec<u32>,
     /// SA stage-2 pointer per output `port_id`, over `P`.
@@ -125,32 +151,46 @@ impl VcStore {
     ) -> Self {
         let vcs = params.vcs_per_port;
         debug_assert!(vcs <= 64, "validated by RouterParams::validate");
+        let depth = params.buffer_depth;
         let ports = nodes * Port::COUNT;
         let ids = ports * vcs;
         let mut wired = Vec::with_capacity(ports);
         for node in 0..nodes {
             wired.extend_from_slice(&connected(node));
         }
+        let lane_vnet: Vec<u8> = (0..vcs).map(|v| params.vc_vnet(v)).collect();
+        let lane_vnet_mask = lane_vnet
+            .iter()
+            .map(|&vnet| lane_mask(params.vnet_vcs(vnet)))
+            .collect();
+        let decode = (0..ports)
+            .flat_map(|pid| (0..vcs).map(move |v| (pid as u32) << 6 | v as u32))
+            .collect();
         VcStore {
             vcs,
+            depth,
+            decode,
+            lane_vnet,
+            lane_vnet_mask,
             phase: vec![VcPhase::Idle; ids],
             route_port: vec![0; ids],
             route_vc: vec![0; ids],
             head_arrived: vec![0; ids],
             head_is_head: vec![false; ids],
-            head_vnet: vec![0; ids],
-            bufs: (0..ids).map(|_| FlitQueue::new()).collect(),
+            slots: vec![FlitHandle::new(0, 0, 1, 0); ids * depth],
+            ring_head: vec![0; ids],
+            ring_len: vec![0; ids],
             occ_mask: vec![0; ports],
             routed_mask: vec![0; ports],
             active_mask: vec![0; ports],
             out_alloc: vec![FREE_VC; ids],
             alloc_mask: vec![0; ports],
-            credits: vec![params.buffer_depth as u32; ids],
+            credits: vec![depth as u32; ids],
             connected: wired,
             alloc_count: vec![0; nodes],
             routed_count: vec![0; nodes],
             active_count: vec![0; nodes],
-            va_rr: vec![0; ports],
+            va_rr: vec![(0, 0); ports],
             sa_in_rr: vec![0; ports],
             sa_out_rr: vec![0; ports],
         }
@@ -174,11 +214,19 @@ impl VcStore {
         (node * Port::COUNT + port) * self.vcs + vc
     }
 
+    /// The port id and the port-mask bit of a dense vc id.
+    #[inline]
+    fn port_and_bit(&self, id: usize) -> (usize, u64) {
+        let d = self.decode[id];
+        ((d >> 6) as usize, 1u64 << (d & 63))
+    }
+
     /// The `(node, port, vc)` triple a dense vc id decodes to.
     #[inline]
     pub fn vc_id_parts(&self, id: usize) -> (usize, usize, usize) {
-        let port_id = id / self.vcs;
-        (port_id / Port::COUNT, port_id % Port::COUNT, id % self.vcs)
+        let d = self.decode[id] as usize;
+        let pid = d >> 6;
+        (pid / Port::COUNT, pid % Port::COUNT, d & 63)
     }
 
     /// Reconstructs the logical [`VcState`] of an input VC.
@@ -223,8 +271,7 @@ impl VcStore {
             return;
         }
         self.phase[id] = phase;
-        let bit = 1u64 << (id % self.vcs);
-        let pid = id / self.vcs;
+        let (pid, bit) = self.port_and_bit(id);
         let node = pid / Port::COUNT;
         match was {
             VcPhase::Routed => {
@@ -250,57 +297,91 @@ impl VcStore {
         }
     }
 
-    /// Front flit of an input VC's payload FIFO.
+    /// Front flit of an input VC.
     #[inline]
-    pub fn front(&self, id: usize) -> Option<&Flit> {
-        self.bufs[id].front()
+    pub(crate) fn front(&self, id: usize) -> Option<FlitHandle> {
+        (self.ring_len[id] > 0).then(|| self.slots[id * self.depth + self.ring_head[id] as usize])
+    }
+
+    /// Buffered flits of an input VC, front first.
+    pub(crate) fn flits(&self, id: usize) -> impl Iterator<Item = FlitHandle> + '_ {
+        let base = id * self.depth;
+        let head = self.ring_head[id] as usize;
+        (0..self.ring_len[id] as usize).map(move |k| {
+            let mut pos = head + k;
+            if pos >= self.depth {
+                pos -= self.depth;
+            }
+            self.slots[base + pos]
+        })
     }
 
     /// Buffered flits in an input VC.
     #[inline]
     pub fn occupancy(&self, id: usize) -> usize {
-        self.bufs[id].len()
+        self.ring_len[id] as usize
     }
 
     /// Appends a flit to an input VC, maintaining the occupancy mask and
     /// head mirrors.
-    pub(crate) fn push_flit(&mut self, id: usize, flit: Flit) {
-        let q = &mut self.bufs[id];
-        let was_empty = q.is_empty();
-        q.push_back(flit);
-        if was_empty {
-            self.occ_mask[id / self.vcs] |= 1u64 << (id % self.vcs);
-            self.refresh_head(id);
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC's ring is full: upstream sent a flit without a
+    /// credit.
+    pub(crate) fn push_flit(&mut self, id: usize, flit: FlitHandle) {
+        let len = self.ring_len[id] as usize;
+        assert!(
+            len < self.depth,
+            "buffer overflow at vc id {id}: credit protocol violated"
+        );
+        let mut pos = self.ring_head[id] as usize + len;
+        if pos >= self.depth {
+            pos -= self.depth;
+        }
+        self.slots[id * self.depth + pos] = flit;
+        self.ring_len[id] += 1;
+        if len == 0 {
+            let (pid, bit) = self.port_and_bit(id);
+            self.occ_mask[pid] |= bit;
+            self.set_head_mirrors(id, flit);
         }
     }
 
-    /// Pops the front flit of an input VC, maintaining the occupancy mask
-    /// and head mirrors and releasing heap capacity a transient spill left
-    /// behind once the VC drains.
-    pub(crate) fn pop_flit(&mut self, id: usize) -> Option<Flit> {
-        let flit = self.bufs[id].pop_front()?;
-        if self.bufs[id].is_empty() {
-            self.occ_mask[id / self.vcs] &= !(1u64 << (id % self.vcs));
-            self.bufs[id].shrink_to_inline();
+    /// Pops the front flit of a non-empty input VC, maintaining the
+    /// occupancy mask and head mirrors.
+    pub(crate) fn pop_flit(&mut self, id: usize) -> FlitHandle {
+        debug_assert!(self.ring_len[id] > 0, "pop from an empty VC {id}");
+        let base = id * self.depth;
+        let mut head = self.ring_head[id] as usize;
+        let flit = self.slots[base + head];
+        head += 1;
+        if head == self.depth {
+            head = 0;
+        }
+        self.ring_head[id] = head as u32;
+        self.ring_len[id] -= 1;
+        if self.ring_len[id] == 0 {
+            let (pid, bit) = self.port_and_bit(id);
+            self.occ_mask[pid] &= !bit;
         } else {
-            self.refresh_head(id);
+            self.set_head_mirrors(id, self.slots[base + head]);
         }
-        Some(flit)
+        flit
     }
 
-    /// Re-derives the head mirrors from the FIFO front.
-    fn refresh_head(&mut self, id: usize) {
-        let f = self.bufs[id].front().expect("refresh_head on an empty VC");
-        self.head_arrived[id] = f.arrived;
-        self.head_is_head[id] = f.kind.is_head();
-        self.head_vnet[id] = f.vnet;
+    #[inline]
+    fn set_head_mirrors(&mut self, id: usize, front: FlitHandle) {
+        self.head_arrived[id] = front.arrived;
+        self.head_is_head[id] = front.is_head();
     }
 
     /// Grants output VC `out_id` (on `node`) to the input VC `holder`.
     pub(crate) fn alloc_out(&mut self, node: usize, out_id: usize, holder: u32) {
         debug_assert_eq!(self.out_alloc[out_id], FREE_VC, "double allocation");
         self.out_alloc[out_id] = holder;
-        self.alloc_mask[out_id / self.vcs] |= 1u64 << (out_id % self.vcs);
+        let (pid, bit) = self.port_and_bit(out_id);
+        self.alloc_mask[pid] |= bit;
         self.alloc_count[node] += 1;
     }
 
@@ -308,38 +389,48 @@ impl VcStore {
     pub(crate) fn free_out(&mut self, node: usize, out_id: usize) {
         debug_assert_ne!(self.out_alloc[out_id], FREE_VC, "freeing a free VC");
         self.out_alloc[out_id] = FREE_VC;
-        self.alloc_mask[out_id / self.vcs] &= !(1u64 << (out_id % self.vcs));
+        let (pid, bit) = self.port_and_bit(out_id);
+        self.alloc_mask[pid] &= !bit;
         self.alloc_count[node] -= 1;
     }
 
-    /// Lowest-index free output VC on `port_id` within `range` (a vnet's VC
-    /// partition), or `None` when all are held.
+    /// Lowest-index free output VC on `port_id` among the lanes in `lanes`
+    /// (a vnet's VC partition, see [`lane_mask`]), or `None` when all are
+    /// held.
     #[inline]
-    pub(crate) fn first_free_out_vc(
-        &self,
-        port_id: usize,
-        range: std::ops::Range<usize>,
-    ) -> Option<usize> {
-        let width = range.end - range.start;
-        let width_mask = if width == 64 {
-            u64::MAX
+    pub(crate) fn first_free_out_vc(&self, port_id: usize, lanes: u64) -> Option<usize> {
+        let free = !self.alloc_mask[port_id] & lanes;
+        (free != 0).then(|| free.trailing_zeros() as usize)
+    }
+
+    /// The VA pointer of output `port_id` as a local id `port * V + vc`.
+    pub(crate) fn va_ptr(&self, port_id: usize) -> usize {
+        let (p, v) = self.va_rr[port_id];
+        usize::from(p) * self.vcs + usize::from(v)
+    }
+
+    /// Sets the VA pointer of output `port_id` from a local id.
+    pub(crate) fn set_va_ptr(&mut self, port_id: usize, local: usize) {
+        self.va_rr[port_id] = ((local / self.vcs) as u8, (local % self.vcs) as u8);
+    }
+
+    /// Points output `port_id`'s VA arbiter just past input VC
+    /// `(in_port, in_vc)`, wrapping over the `P * V` id space.
+    #[inline]
+    pub(crate) fn set_va_ptr_after(&mut self, port_id: usize, in_port: usize, in_vc: usize) {
+        self.va_rr[port_id] = if in_vc + 1 < self.vcs {
+            (in_port as u8, in_vc as u8 + 1)
+        } else if in_port + 1 < Port::COUNT {
+            (in_port as u8 + 1, 0)
         } else {
-            (1u64 << width) - 1
+            (0, 0)
         };
-        let free = !self.alloc_mask[port_id] & (width_mask << range.start);
-        if free == 0 {
-            None
-        } else {
-            Some(free.trailing_zeros() as usize)
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::NodeId;
-    use crate::packet::{Packet, PacketId};
 
     fn store() -> VcStore {
         VcStore::new(4, &RouterParams::paper(), |_| [true; Port::COUNT])
@@ -370,12 +461,13 @@ mod tests {
         let holder = s.vc_id(2, Port::Local.index(), 0) as u32;
         let port_id = s.port_id(2, 1);
         s.alloc_out(2, port_id * 4 + 2, holder);
-        assert_eq!(s.first_free_out_vc(port_id, 0..4), Some(0));
-        assert_eq!(s.first_free_out_vc(port_id, 2..4), Some(3));
+        assert_eq!(s.first_free_out_vc(port_id, lane_mask(0..4)), Some(0));
+        assert_eq!(s.first_free_out_vc(port_id, lane_mask(2..4)), Some(3));
         assert_eq!(s.alloc_count[2], 1);
         s.free_out(2, port_id * 4 + 2);
-        assert_eq!(s.first_free_out_vc(port_id, 2..4), Some(2));
+        assert_eq!(s.first_free_out_vc(port_id, lane_mask(2..4)), Some(2));
         assert_eq!(s.alloc_count[2], 0);
+        assert_eq!(lane_mask(0..64), u64::MAX);
     }
 
     #[test]
@@ -392,34 +484,55 @@ mod tests {
     }
 
     #[test]
+    fn vnet_lanes_are_per_vc_constants() {
+        let params = RouterParams::paper_two_vnets();
+        let s = VcStore::new(1, &params, |_| [true; Port::COUNT]);
+        assert_eq!(s.lane_vnet, vec![0, 0, 1, 1]);
+        assert_eq!(s.lane_vnet_mask, vec![0b0011, 0b0011, 0b1100, 0b1100]);
+    }
+
+    #[test]
+    fn va_pointer_split_matches_local_ids() {
+        let params = RouterParams {
+            vcs_per_port: 3,
+            ..RouterParams::paper()
+        };
+        let mut s = VcStore::new(1, &params, |_| [true; Port::COUNT]);
+        let space = Port::COUNT * 3;
+        for local in 0..space {
+            s.set_va_ptr(0, local);
+            assert_eq!(s.va_ptr(0), local);
+            s.set_va_ptr_after(0, local / 3, local % 3);
+            assert_eq!(s.va_ptr(0), (local + 1) % space);
+        }
+    }
+
+    #[test]
     fn push_pop_maintain_mirrors() {
         let mut s = store();
         let id = s.vc_id(1, 3, 2);
-        let pkt = Packet {
-            id: PacketId(7),
-            src: NodeId(0),
-            dst: NodeId(3),
-            len: 2,
-            created: 0,
-            measured: false,
-            vnet: 0,
-        };
-        let mut head = pkt.flit(0, 0);
-        head.arrived = 11;
-        let mut tail = pkt.flit(1, 0);
-        tail.arrived = 12;
-        s.push_flit(id, head);
+        s.push_flit(id, FlitHandle::new(7, 0, 2, 11));
         assert_eq!(s.occ_mask[id / 4] & (1 << 2), 1 << 2);
         assert_eq!(s.head_arrived[id], 11);
         assert!(s.head_is_head[id]);
-        s.push_flit(id, tail);
+        s.push_flit(id, FlitHandle::new(7, 1, 2, 12));
         assert_eq!(s.head_arrived[id], 11, "head mirror tracks the front");
-        assert_eq!(s.pop_flit(id).unwrap().seq, 0);
+        assert_eq!(s.pop_flit(id).seq(), 0);
         assert_eq!(s.head_arrived[id], 12);
         assert!(!s.head_is_head[id]);
-        assert_eq!(s.pop_flit(id).unwrap().seq, 1);
+        assert_eq!(s.pop_flit(id).seq(), 1);
         assert_eq!(s.occ_mask[id / 4], 0);
-        assert!(s.pop_flit(id).is_none());
+        assert!(s.front(id).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "credit protocol violated")]
+    fn overfull_ring_is_rejected() {
+        let mut s = store();
+        let id = s.vc_id(0, 0, 0);
+        for seq in 0..5 {
+            s.push_flit(id, FlitHandle::new(0, seq, 5, 0));
+        }
     }
 
     #[test]

@@ -326,14 +326,21 @@ impl TrafficGen {
 
     /// Generates this cycle's packets.
     pub fn generate(&mut self, now: u64, measured: bool) -> Vec<Packet> {
+        let mut out = Vec::new();
+        self.generate_into(now, measured, &mut out);
+        out
+    }
+
+    /// [`TrafficGen::generate`], appending to a caller-owned buffer so a
+    /// simulation loop allocates nothing per cycle.
+    pub(crate) fn generate_into(&mut self, now: u64, measured: bool, out: &mut Vec<Packet>) {
         if let Some(b) = self.bursts {
             if !b.is_on(now) {
-                return Vec::new();
+                return;
             }
         }
         let k = self.placement.len();
         let p = self.injection_rate / f64::from(self.packet_len);
-        let mut out = Vec::new();
         for src_logical in 0..k {
             if self.rng.gen_bool(p.min(1.0)) {
                 let dst_logical = self.pattern.destination(src_logical, k, &mut self.rng);
@@ -346,11 +353,10 @@ impl TrafficGen {
                     len: self.packet_len,
                     created: now,
                     measured,
-            vnet: 0,
+                    vnet: 0,
                 });
             }
         }
-        out
     }
 
     /// Total packets generated so far.
@@ -582,5 +588,32 @@ mod tests {
         for c in 0..100 {
             assert_eq!(a.generate(c, false), b.generate(c, false));
         }
+    }
+
+    #[test]
+    fn generate_into_appends_what_generate_returns() {
+        let mesh = Mesh2D::paper_4x4();
+        let bursty = || {
+            TrafficGen::new(
+                TrafficPattern::UniformRandom,
+                Placement::full(&mesh),
+                0.5,
+                5,
+                9,
+            )
+            .unwrap()
+            .with_bursts(BurstSchedule {
+                on_cycles: 7,
+                off_cycles: 5,
+            })
+        };
+        let (mut a, mut b) = (bursty(), bursty());
+        let mut buf = Vec::new();
+        for c in 0..200 {
+            let before = buf.len();
+            b.generate_into(c, c % 3 == 0, &mut buf);
+            assert_eq!(a.generate(c, c % 3 == 0), buf[before..], "cycle {c}");
+        }
+        assert_eq!(a.generated(), b.generated());
     }
 }

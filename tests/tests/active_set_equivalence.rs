@@ -386,8 +386,13 @@ fn engines_bit_identical_on_fully_lit_32x32_with_midrun_switches() {
 
 /// Builds one engine's network for a router-parameter case: the 4x4 mesh
 /// under XY routing, or circ16s5 under chord-first routing with its two
-/// dateline VC classes.
-fn params_net(circulant: bool, params: RouterParams, engine: StepEngine) -> Network {
+/// dateline VC classes, with `plan` installed.
+fn params_net(
+    circulant: bool,
+    params: RouterParams,
+    plan: &FaultPlan,
+    engine: StepEngine,
+) -> Network {
     let mut net = if circulant {
         let topo = Topo::from(Circulant::new(16, 5).unwrap());
         Network::with_topology(topo, params, Box::new(CirculantRouting::full())).unwrap()
@@ -395,6 +400,7 @@ fn params_net(circulant: bool, params: RouterParams, engine: StepEngine) -> Netw
         Network::new(Mesh2D::paper_4x4(), params, Box::new(XyRouting)).unwrap()
     };
     net.set_step_engine(engine);
+    net.set_fault_plan(plan).unwrap();
     net
 }
 
@@ -402,10 +408,13 @@ fn params_net(circulant: bool, params: RouterParams, engine: StepEngine) -> Netw
 /// every port compared each cycle. Also asserts the run reached every VA
 /// pointer value (`0..P * vcs`) and every SA stage-2 value (`0..P`) at
 /// some port, so each rotation offset was exercised.
-fn assert_lockstep_params(circulant: bool, params: RouterParams, cycles: u64) {
-    let case = format!("circulant={circulant} {params:?}");
-    let mut active = params_net(circulant, params, StepEngine::ActiveSet);
-    let mut oracle = params_net(circulant, params, StepEngine::ExhaustiveSweep);
+fn assert_lockstep_params(circulant: bool, params: RouterParams, plan: &FaultPlan, cycles: u64) {
+    let case = format!(
+        "circulant={circulant} {params:?} faults={}",
+        !plan.is_empty()
+    );
+    let mut active = params_net(circulant, params, plan, StepEngine::ActiveSet);
+    let mut oracle = params_net(circulant, params, plan, StepEngine::ExhaustiveSweep);
     let nodes = active.topology().len();
     // Saturating hotspot traffic around an interior node (logical node 0
     // is placed on node 5): links on every side stay congested and keep
@@ -461,6 +470,7 @@ fn assert_lockstep_params(circulant: bool, params: RouterParams, cycles: u64) {
         trace_a.diff_head(&trace_o)
     );
     assert_eq!(active.in_flight(), oracle.in_flight());
+    assert_eq!(active.fault_stats(), oracle.fault_stats());
     active.validate_active_sets();
     let va_missed: Vec<usize> = (0..id_space).filter(|&v| !va_seen[v]).collect();
     assert!(
@@ -479,31 +489,47 @@ fn assert_lockstep_params(circulant: bool, params: RouterParams, cycles: u64) {
 /// the oracle's rotated-distance scans across VC counts whose id space
 /// `P * vcs` is not a power of two (1, 3, 6, 8, 64 VCs, so the VA pointer
 /// also lands mid-port), one and two vnets, and the circulant's dateline
-/// VC classes. Each run is long enough that every VA and SA stage-2
-/// pointer offset is reached.
+/// VC classes. Buffer depths of 1 (every flit wraps its VC's slot ring)
+/// and 8 (rings deeper than the paper's 4) run on both topologies. Each
+/// run is long enough that every VA and SA stage-2 pointer offset is
+/// reached.
 #[test]
 fn engines_bit_identical_across_router_params() {
-    let params = |vcs_per_port, vnets| RouterParams {
+    let params = |vcs_per_port, vnets, buffer_depth| RouterParams {
         vcs_per_port,
         vnets,
+        buffer_depth,
         ..RouterParams::paper()
     };
     // (circulant, params, cycles): each run reaches full pointer coverage
     // in well under half its cycles.
     let cases = [
-        (false, params(1, 1), 600),
-        (false, params(3, 1), 600),
-        (false, params(8, 1), 600),
-        (false, params(8, 2), 600),
-        (false, params(64, 1), 5_000),
-        (true, params(4, 2), 600),
-        (true, params(6, 1), 600),
-        (true, params(8, 1), 3_000),
-        (true, params(8, 2), 3_000),
+        (false, params(1, 1, 4), 600),
+        (false, params(3, 1, 4), 600),
+        (false, params(8, 1, 4), 600),
+        (false, params(8, 2, 4), 600),
+        (false, params(64, 1, 4), 5_000),
+        (false, params(4, 1, 1), 600),
+        (false, params(4, 2, 8), 600),
+        (true, params(4, 2, 4), 600),
+        (true, params(6, 1, 4), 600),
+        (true, params(8, 1, 4), 3_000),
+        (true, params(8, 2, 4), 3_000),
+        (true, params(4, 2, 1), 600),
+        (true, params(8, 1, 8), 3_000),
     ];
     for (circulant, params, cycles) in cases {
-        assert_lockstep_params(circulant, params, cycles);
+        assert_lockstep_params(circulant, params, &FaultPlan::new(), cycles);
     }
+    // The hotspot node 5 loses every inbound link mid-run. Packets heading
+    // for it are dropped at its neighbours: a 4-flit packet parked whole in
+    // an 8-deep VC is dropped head to tail at once, and one caught
+    // mid-crossing has its late flits consumed by a dropping VC. Both free
+    // their packet-table slot, and the validation pins each release.
+    let cut_off = [1, 4, 6, 9].into_iter().fold(FaultPlan::new(), |plan, n| {
+        plan.link_kill(NodeId(n), NodeId(5), 300)
+    });
+    assert_lockstep_params(false, params(4, 1, 8), &cut_off, 1_500);
 }
 
 // ---------------------------------------------------------------------------

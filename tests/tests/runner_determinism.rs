@@ -8,11 +8,12 @@ use std::time::Instant;
 
 use noc_sim::error::SimError;
 use noc_sim::probe::{EventCounts, Probe, TimeSeriesObserver};
-use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{
+    point_seed, ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob,
+};
 use noc_sprinting::telemetry::SpanRecorder;
 
 /// The standard latency-vs-load sweep (4%, 12%, ... in 8% steps, point `i`

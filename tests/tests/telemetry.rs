@@ -8,11 +8,10 @@ use std::time::Instant;
 
 use noc_sim::error::SimError;
 use noc_sim::probe::TimeSeriesObserver;
-use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{point_seed, ExperimentRunner, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::{
     validate_chrome_trace, JsonValue, ManifestPoint, RunManifest, SpanRecorder,
 };
