@@ -554,6 +554,18 @@ impl Network {
         (v != u32::MAX).then_some(NodeId(v as usize))
     }
 
+    /// Routes input VC `id` (lane `vc` of a port at `node`) to `out_port` for
+    /// a packet heading to `dst`, caching in `route_lanes` the output VCs VC
+    /// allocation may grant: the lane's vnet partition narrowed to this hop's
+    /// escape class. Both places an input VC enters [`VcPhase::Routed`] go
+    /// through here, so the fast allocator never re-derives the class.
+    fn set_routed(&mut self, node: usize, id: usize, vc: usize, out_port: Port, dst: NodeId) {
+        let range = self.vnet_vcs[usize::from(self.store.lane_vnet[vc])].clone();
+        let lanes = lane_mask(self.class_range(node, out_port.index(), dst, range));
+        self.store.route_lanes[id] = lanes;
+        self.store.set_state(id, VcState::RouteComputed { out_port });
+    }
+
     /// Narrows a vnet's VC range to the escape-class subrange the routing
     /// function assigns this hop (the dateline classes of TOPOLOGY.md).
     /// With one class — every mesh router — the range is returned untouched,
@@ -889,8 +901,10 @@ impl Network {
     /// Asserts every active-set invariant against a ground-truth rescan,
     /// and the packet table against the network: the live slots are exactly
     /// the packets with a flit buffered, a flit on a link, or an NI
-    /// mid-injection, and the free list holds each slot at most once. Test
-    /// support for the differential suite; not part of the public API.
+    /// mid-injection, and the free list holds each slot at most once. Each
+    /// routed VC's cached `route_lanes` must equal the escape-class lanes
+    /// recomputed from its head. Test support for the differential suite;
+    /// not part of the public API.
     ///
     /// # Panics
     ///
@@ -981,6 +995,17 @@ impl Network {
                             self.store.head_is_head[id],
                             front.is_head(),
                             "head-kind mirror {id}"
+                        );
+                    }
+                    if self.store.phase[id] == VcPhase::Routed {
+                        let head = self.store.front(id).expect("a routed VC holds its head");
+                        let range = self.params.vnet_vcs(self.store.lane_vnet[vc]);
+                        let out = usize::from(self.store.route_port[id]);
+                        let dst = self.packets.packet(head.slot).dst;
+                        assert_eq!(
+                            self.store.route_lanes[id],
+                            lane_mask(self.class_range(node, out, dst, range)),
+                            "route_lanes of vc id {id}"
                         );
                     }
                     for h in self.store.flits(id) {
@@ -1606,7 +1631,7 @@ impl Network {
                         self.store.connected[self.store.port_id(node, out_port.index())],
                         "routing chose unconnected port {out_port} at node {node}"
                     );
-                    self.store.set_state(id, VcState::RouteComputed { out_port });
+                    self.set_routed(node, id, vc, out_port, dst);
                     return;
                 }
                 RouteDecision::Drop => {
@@ -1759,8 +1784,7 @@ impl Network {
                     match self.compute_route(node, dst, now) {
                         RouteDecision::Forward(new_port) => {
                             debug_assert_ne!(new_port, out_port, "rerouted onto the dead link");
-                            self.store
-                                .set_state(id, VcState::RouteComputed { out_port: new_port });
+                            self.set_routed(node, id, in_vc, new_port, dst);
                             self.fault_stats.reroutes += 1;
                             if let Some(p) = probe.as_deref_mut() {
                                 p.on_fault(
@@ -2062,9 +2086,11 @@ impl Network {
     /// (wrapping past the last port), then the bits `< v0` of `p0` — each
     /// mask walked in ascending bit order. Outputs without requests are
     /// no-ops in the oracle (no grant, no pointer move), so visiting only
-    /// requested outputs, ascending, matches it. A requester's vnet is its
-    /// input VC's (VCs are partitioned by vnet), so its output partition is
-    /// a per-lane constant.
+    /// requested outputs, ascending, matches it. A requester's grantable
+    /// output VCs — the oracle's vnet range narrowed to the escape class —
+    /// depend only on its node, output port, vnet and destination, all fixed
+    /// once it is routed, so they are read from `route_lanes`, cached at
+    /// route computation ([`Network::set_routed`]).
     fn vc_allocate_at_fast(
         &mut self,
         node: usize,
@@ -2125,19 +2151,7 @@ impl Network {
                 while mask != 0 {
                     let in_vc = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let mut lanes = self.store.lane_vnet_mask[in_vc];
-                    if self.vc_classes > 1 {
-                        // Escape-class narrowing; guarded so single-class
-                        // topologies never touch the packet table here.
-                        let id = self.store.vc_id(node, in_port, in_vc);
-                        let front = self
-                            .store
-                            .front(id)
-                            .expect("VA requester has a buffered head flit");
-                        let dst = self.packets.packet(front.slot).dst;
-                        let range = self.vnet_vcs[usize::from(self.store.lane_vnet[in_vc])].clone();
-                        lanes = lane_mask(self.class_range(node, out_idx, dst, range));
-                    }
+                    let lanes = self.store.route_lanes[self.store.vc_id(node, in_port, in_vc)];
                     let Some(out_vc) = self.store.first_free_out_vc(out_pid, lanes) else {
                         continue;
                     };

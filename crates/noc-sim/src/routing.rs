@@ -292,8 +292,8 @@ impl RoutingFunction for YxRouting {
     }
 }
 
-/// Table-free routing for the ring-circulant C(N; 1, s)
-/// ([`Circulant`]).
+/// Routing for the ring-circulant C(N; 1, s) ([`Circulant`]), with every
+/// per-hop decision in O(1) and no per-pair routing table.
 ///
 /// **Full topology** (no arc restriction): chord-first dimension-order
 /// routing. At every hop the index difference to the destination is
@@ -301,12 +301,15 @@ impl RoutingFunction for YxRouting {
 /// ([`Circulant::decompose`]); all chord hops are taken first, then ring
 /// hops. Re-deriving the decomposition at each hop makes minimality and
 /// termination *local* properties — the remaining cost drops by exactly one
-/// per hop — so no routing table is needed.
+/// per hop — so no per-pair routing table is needed: each hop is one
+/// lookup in the topology's `N`-entry per-offset table.
 ///
 /// **Sprint regions** (an arc mask): packets walk the unique in-arc ring
-/// path. Chords are not used below the full sprint level: a chord endpoint
-/// may lie outside the arc, and the unique-path property is what makes the
-/// region argument trivially deadlock-free. (The trade-off — arc-only paths
+/// path, east when the destination lies ahead of the current node within
+/// the arc and west otherwise — a comparison of two offsets from the arc's
+/// first node. Chords are not used below the full sprint level: a chord
+/// endpoint may lie outside the arc, and the unique-path property is what
+/// makes the region argument trivially deadlock-free. (The trade-off — arc-only paths
 /// are longer than chord paths — is documented in TOPOLOGY.md.)
 ///
 /// **Deadlock freedom** (full topology) uses two dateline VC classes per
@@ -333,12 +336,18 @@ impl RoutingFunction for YxRouting {
 pub struct CirculantRouting {
     /// Active-arc mask; `None` routes on the full topology.
     active: Option<Vec<bool>>,
+    /// The arc's first lit node (its ring predecessor is dark); `0` on the
+    /// full topology.
+    start: usize,
 }
 
 impl CirculantRouting {
     /// Chord-first routing on the full topology.
     pub fn full() -> Self {
-        CirculantRouting { active: None }
+        CirculantRouting {
+            active: None,
+            start: 0,
+        }
     }
 
     /// In-arc ring routing restricted to the active nodes.
@@ -360,8 +369,12 @@ impl CirculantRouting {
             crate::topology::is_ring_arc(&active),
             "active nodes do not form a contiguous ring arc"
         );
+        let start = (0..n)
+            .find(|&i| active[i] && !active[(i + n - 1) % n])
+            .expect("a partial arc has a first node");
         CirculantRouting {
             active: Some(active),
+            start,
         }
     }
 
@@ -374,19 +387,15 @@ impl CirculantRouting {
             mask[current.0] && mask[dst.0],
             "arc routing outside the active region ({current} -> {dst})"
         );
-        let n = c.n();
-        // Walk east; if that leaves the arc before reaching dst, the unique
-        // in-arc path goes west.
-        let fwd = c.delta(current, dst);
-        let east_ok = (1..fwd).all(|k| mask[(current.0 + k) % n]);
-        if east_ok {
-            (Direction::East, fwd, current.0 + fwd >= n)
+        // Offsets east of the arc's first node: the eastward walk stays in
+        // the arc exactly when dst does not lie behind current.
+        let at = c.delta(NodeId(self.start), current);
+        let to = c.delta(NodeId(self.start), dst);
+        if to >= at {
+            let fwd = to - at;
+            (Direction::East, fwd, current.0 + fwd >= c.n())
         } else {
-            let back = n - fwd;
-            debug_assert!(
-                (1..back).all(|k| mask[(current.0 + n - k % n) % n]),
-                "no in-arc path from {current} to {dst}"
-            );
+            let back = at - to;
             (Direction::West, back, current.0 < back)
         }
     }
@@ -877,6 +886,58 @@ mod tests {
                             for hop in &path {
                                 assert!(active[hop.0], "dark router {hop} on {s}->{d}");
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The O(hops) in-arc walk the offset comparison replaced: step east
+    /// while every intermediate node is lit, else go west.
+    fn arc_walk_by_scan(
+        mask: &[bool],
+        c: &Circulant,
+        current: NodeId,
+        dst: NodeId,
+    ) -> (Direction, usize, bool) {
+        let n = c.n();
+        let fwd = c.delta(current, dst);
+        if (1..fwd).all(|k| mask[(current.0 + k) % n]) {
+            (Direction::East, fwd, current.0 + fwd >= n)
+        } else {
+            let back = n - fwd;
+            assert!(
+                (1..back).all(|k| mask[(current.0 + n - k) % n]),
+                "no in-arc path from {current} to {dst}"
+            );
+            (Direction::West, back, current.0 < back)
+        }
+    }
+
+    #[test]
+    fn circulant_arc_walk_matches_the_scan() {
+        // Every partial arc (start, length) and every lit (cur, dst) pair,
+        // including cur == dst: same direction, remaining length and
+        // dateline flag as the scan.
+        for (n, skip) in [(16, 5), (45, 7)] {
+            let topo = Circulant::new(n, skip).unwrap();
+            for start in 0..n {
+                for len in 1..n {
+                    let mut active = vec![false; n];
+                    for k in 0..len {
+                        active[(start + k) % n] = true;
+                    }
+                    let routing = CirculantRouting::on_arc(active.clone());
+                    for a in 0..len {
+                        for b in 0..len {
+                            let cur = NodeId((start + a) % n);
+                            let dst = NodeId((start + b) % n);
+                            assert_eq!(
+                                routing.arc_walk(&topo, cur, dst),
+                                arc_walk_by_scan(&active, &topo, cur, dst),
+                                "C({n}; 1, {skip}) arc {start}+{len}: {cur} -> {dst}"
+                            );
                         }
                     }
                 }

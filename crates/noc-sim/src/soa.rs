@@ -89,12 +89,14 @@ pub struct VcStore {
     decode: Vec<u32>,
     /// Per VC lane: the vnet that lane belongs to (fixed by the index).
     pub(crate) lane_vnet: Vec<u8>,
-    /// Per VC lane: the lane mask of its vnet's VC partition.
-    pub(crate) lane_vnet_mask: Vec<u64>,
     // ---- input side, indexed by vc_id ----
     pub(crate) phase: Vec<VcPhase>,
     /// Output port requested/held ([`Port::index`]); valid in `Routed`/`Active`.
     pub(crate) route_port: Vec<u8>,
+    /// Output VCs the packet may be granted: its vnet's partition narrowed
+    /// to the hop's escape class, as a [`lane_mask`]. Written at route
+    /// computation; valid in `Routed`.
+    pub(crate) route_lanes: Vec<u64>,
     /// Output VC held; valid in `Active`.
     pub(crate) route_vc: Vec<u8>,
     /// Mirror of the front flit's `arrived` stamp; valid while non-empty.
@@ -159,10 +161,6 @@ impl VcStore {
             wired.extend_from_slice(&connected(node));
         }
         let lane_vnet: Vec<u8> = (0..vcs).map(|v| params.vc_vnet(v)).collect();
-        let lane_vnet_mask = lane_vnet
-            .iter()
-            .map(|&vnet| lane_mask(params.vnet_vcs(vnet)))
-            .collect();
         let decode = (0..ports)
             .flat_map(|pid| (0..vcs).map(move |v| (pid as u32) << 6 | v as u32))
             .collect();
@@ -171,9 +169,9 @@ impl VcStore {
             depth,
             decode,
             lane_vnet,
-            lane_vnet_mask,
             phase: vec![VcPhase::Idle; ids],
             route_port: vec![0; ids],
+            route_lanes: vec![0; ids],
             route_vc: vec![0; ids],
             head_arrived: vec![0; ids],
             head_is_head: vec![false; ids],
@@ -395,8 +393,8 @@ impl VcStore {
     }
 
     /// Lowest-index free output VC on `port_id` among the lanes in `lanes`
-    /// (a vnet's VC partition, see [`lane_mask`]), or `None` when all are
-    /// held.
+    /// (a requester's [`route_lanes`](Self::route_lanes)), or `None` when
+    /// all are held.
     #[inline]
     pub(crate) fn first_free_out_vc(&self, port_id: usize, lanes: u64) -> Option<usize> {
         let free = !self.alloc_mask[port_id] & lanes;
@@ -488,7 +486,7 @@ mod tests {
         let params = RouterParams::paper_two_vnets();
         let s = VcStore::new(1, &params, |_| [true; Port::COUNT]);
         assert_eq!(s.lane_vnet, vec![0, 0, 1, 1]);
-        assert_eq!(s.lane_vnet_mask, vec![0b0011, 0b0011, 0b1100, 0b1100]);
+        assert_eq!(lane_mask(params.vnet_vcs(s.lane_vnet[3])), 0b1100);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! - [`Mesh2D`] — the paper's 2D mesh (XY/CDOR routing, convex sprint
 //!   regions).
-//! - [`Circulant`] — the ring-circulant C(N; 1, s) with table-free
-//!   chord-first routing and dateline VC classes for deadlock freedom.
+//! - [`Circulant`] — the ring-circulant C(N; 1, s) with chord-first
+//!   routing from an `N`-entry per-offset table (no per-pair table) and
+//!   dateline VC classes for deadlock freedom.
 //!
 //! [`Topo`] is a cheap-to-clone shared handle (`Arc<dyn Topology>`) used
 //! wherever a topology is *stored*; borrowed call sites take
@@ -371,7 +372,9 @@ impl Topology for Mesh2D {
 /// `East = +1`, `West = -1`, `South = +s`, `North = -s` (all mod `N`).
 /// Degree is exactly 4 everywhere — unlike the mesh, there are no edge
 /// nodes — and the topology is vertex-transitive: distance depends only on
-/// the index difference, which is what makes table-free routing possible.
+/// the index difference, so one `N`-entry table of per-offset
+/// decompositions (no per-pair routing table) answers every routing
+/// decision in O(1).
 ///
 /// ```
 /// use noc_sim::topology::{Circulant, Topology};
@@ -388,9 +391,11 @@ impl Topology for Mesh2D {
 pub struct Circulant {
     n: usize,
     skip: usize,
-    /// `dist[d]` = minimal hops to the node `d` indices ahead (vertex
-    /// transitivity: the full distance function in `N` words).
-    dist: Vec<u32>,
+    /// `decomp[d]` = the canonical `(chords, ring_steps)` split `(j, r)` of
+    /// the index difference `d`; the minimal hop count is `|j| + |r|`
+    /// (vertex transitivity: every routing decision and distance in `N`
+    /// entries).
+    decomp: Vec<(i64, i64)>,
     diameter: u32,
 }
 
@@ -406,17 +411,12 @@ impl Circulant {
         if skip < 2 || 2 * skip >= n {
             return Err(crate::error::TopologyError::BadCirculant { n, skip });
         }
-        let dist: Vec<u32> = (0..n)
-            .map(|d| {
-                let (j, r) = decompose(n, skip, d);
-                (j.unsigned_abs() + r.unsigned_abs()) as u32
-            })
-            .collect();
-        let diameter = dist.iter().copied().max().unwrap_or(0);
+        let decomp: Vec<(i64, i64)> = (0..n).map(|d| decompose(n, skip, d)).collect();
+        let diameter = decomp.iter().copied().map(split_hops).max().unwrap_or(0);
         Ok(Circulant {
             n,
             skip,
-            dist,
+            decomp,
             diameter,
         })
     }
@@ -434,7 +434,13 @@ impl Circulant {
     /// Index difference `b - a` mod `n`.
     #[inline]
     pub fn delta(&self, a: NodeId, b: NodeId) -> usize {
-        (b.0 + self.n - a.0) % self.n
+        debug_assert!(a.0 < self.n && b.0 < self.n, "node out of range");
+        let d = b.0 + self.n - a.0;
+        if d >= self.n {
+            d - self.n
+        } else {
+            d
+        }
     }
 
     /// Ring-only distance (chords ignored): `min(d, n - d)`. This is the
@@ -448,9 +454,11 @@ impl Circulant {
     /// `(chords, ring_steps)`: `j * skip + r ≡ delta (mod n)` with
     /// `|j| + |r|` minimal. Ties prefer fewer chords, then the positive
     /// chord direction, then the positive ring direction, making the
-    /// per-hop routing decision deterministic.
+    /// per-hop routing decision deterministic. A lookup into the per-offset
+    /// table built by [`Circulant::new`].
+    #[inline]
     pub fn decompose(&self, delta: usize) -> (i64, i64) {
-        decompose(self.n, self.skip, delta)
+        self.decomp[delta]
     }
 }
 
@@ -467,8 +475,15 @@ pub(crate) fn is_ring_arc(active: &[bool]) -> bool {
     internal == lit - 1
 }
 
+/// Hop count `|j| + |r|` of a `(chords, ring_steps)` split.
+#[inline]
+fn split_hops((j, r): (i64, i64)) -> u32 {
+    (j.unsigned_abs() + r.unsigned_abs()) as u32
+}
+
 /// Minimal `(j, r)` with `j * skip + r ≡ delta (mod n)`; see
-/// [`Circulant::decompose`] for the tie-break rule.
+/// [`Circulant::decompose`] for the tie-break rule. An `O(n / skip)`
+/// search, run once per offset by [`Circulant::new`] to fill its table.
 fn decompose(n: usize, skip: usize, delta: usize) -> (i64, i64) {
     debug_assert!(delta < n);
     let n_i = n as i64;
@@ -515,7 +530,7 @@ impl Topology for Circulant {
 
     fn hops(&self, a: NodeId, b: NodeId) -> u32 {
         assert!(a.0 < self.n && b.0 < self.n, "node out of range");
-        self.dist[self.delta(a, b)]
+        split_hops(self.decomp[self.delta(a, b)])
     }
 
     fn diameter(&self) -> u32 {
@@ -547,7 +562,7 @@ impl Topology for Circulant {
     }
 
     fn routing_name(&self) -> &'static str {
-        "chord-first minimal (table-free); in-arc ring walk on partial regions"
+        "chord-first minimal (N-entry per-offset table, no per-pair table); in-arc ring walk on partial regions"
     }
 
     fn sprint_rule(&self) -> &'static str {
@@ -993,6 +1008,20 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn decompose_table_matches_the_search() {
+        for (n, s) in [(256usize, 15usize), (16, 5), (11, 3)] {
+            let c = Circulant::new(n, s).unwrap();
+            for delta in 0..n {
+                assert_eq!(
+                    c.decompose(delta),
+                    decompose(n, s, delta),
+                    "C({n};1,{s}) delta {delta}"
+                );
             }
         }
     }

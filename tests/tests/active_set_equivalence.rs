@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use noc_sim::fault::{FaultEvent, FaultPlan, RandomFaultConfig};
+use noc_sim::fault::{FaultEvent, FaultPlan, FaultStats, RandomFaultConfig};
 use noc_sim::geometry::{NodeId, Port};
 use noc_sim::network::{GatingMode, Network, Quiescence, StepEngine};
 use noc_sim::probe::{Probe, SimPhase};
@@ -405,10 +405,17 @@ fn params_net(
 }
 
 /// Lockstep run of one router-parameter case with the arbiter pointers of
-/// every port compared each cycle. Also asserts the run reached every VA
+/// every port and the state (route and held output VC) of every input VC
+/// compared each cycle. Also asserts the run reached every VA
 /// pointer value (`0..P * vcs`) and every SA stage-2 value (`0..P`) at
-/// some port, so each rotation offset was exercised.
-fn assert_lockstep_params(circulant: bool, params: RouterParams, plan: &FaultPlan, cycles: u64) {
+/// some port, so each rotation offset was exercised. Returns the (agreed)
+/// fault counters.
+fn assert_lockstep_params(
+    circulant: bool,
+    params: RouterParams,
+    plan: &FaultPlan,
+    cycles: u64,
+) -> FaultStats {
     let case = format!(
         "circulant={circulant} {params:?} faults={}",
         !plan.is_empty()
@@ -457,6 +464,13 @@ fn assert_lockstep_params(circulant: bool, params: RouterParams, plan: &FaultPla
                 );
                 va_seen[ptrs[0] as usize] = true;
                 sa_seen[ptrs[2] as usize] = true;
+                for vc in 0..params.vcs_per_port {
+                    assert_eq!(
+                        active.vc_state(NodeId(node), port, vc),
+                        oracle.vc_state(NodeId(node), port, vc),
+                        "state of n{node} {port:?} vc {vc} diverged at cycle {now} ({case})"
+                    );
+                }
             }
         }
         if now.is_multiple_of(53) {
@@ -481,6 +495,7 @@ fn assert_lockstep_params(circulant: bool, params: RouterParams, plan: &FaultPla
         sa_seen.iter().all(|&s| s),
         "SA stage-2 pointer values missed ({case}): {sa_seen:?}"
     );
+    active.fault_stats()
 }
 
 /// The fast allocators' mask arithmetic — the VA pointer split into
@@ -492,7 +507,9 @@ fn assert_lockstep_params(circulant: bool, params: RouterParams, plan: &FaultPla
 /// VC classes. Buffer depths of 1 (every flit wraps its VC's slot ring)
 /// and 8 (rings deeper than the paper's 4) run on both topologies. Each
 /// run is long enough that every VA and SA stage-2 pointer offset is
-/// reached.
+/// reached. Two fault cases kill links permanently mid-run: one drops
+/// packets on the mesh, the other re-routes parked packets on the
+/// circulant.
 #[test]
 fn engines_bit_identical_across_router_params() {
     let params = |vcs_per_port, vnets, buffer_depth| RouterParams {
@@ -530,6 +547,18 @@ fn engines_bit_identical_across_router_params() {
         plan.link_kill(NodeId(n), NodeId(5), 300)
     });
     assert_lockstep_params(false, params(4, 1, 8), &cut_off, 1_500);
+    // On circ16s5 the five South chords that cross the index wrap
+    // (11 -> 0 ... 15 -> 4) die one per 100 cycles. Packets parked on them
+    // whose destination has another minimal first hop are re-routed in
+    // place, some onto a ring port of the other dateline class. That
+    // rewrites the output port and the VC lanes cached at route
+    // computation; the oracle recomputes the class at VC allocation, so the
+    // per-cycle VC-state comparison pins the rewrite.
+    let severed = (11..16).fold(FaultPlan::new(), |plan, n| {
+        plan.link_kill(NodeId(n), NodeId((n + 5) % 16), 300 + 100 * (n as u64 - 11))
+    });
+    let stats = assert_lockstep_params(true, params(4, 2, 4), &severed, 1_500);
+    assert!(stats.reroutes > 0, "no parked packet was re-routed: {stats:?}");
 }
 
 // ---------------------------------------------------------------------------

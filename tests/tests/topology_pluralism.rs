@@ -7,7 +7,10 @@
 //!    The pins below are `f64` bit patterns captured from the pre-trait
 //!    code on the paper experiment; any behavioural drift — routing,
 //!    allocator, power model — fails these, not just "roughly equal".
-//! 2. **Circulant correctness on both cycle engines**: the ring-circulant
+//! 2. **Circulant bit-identity**: `f64` pins of circulant operating
+//!    points (full chord-first routing and arc regions, C(16..256)) hold
+//!    the routing decisions and VC lane grants still.
+//! 3. **Circulant correctness on both cycle engines**: the ring-circulant
 //!    C(16; 1, 5) runs in lockstep on the active-set engine and the
 //!    exhaustive-sweep oracle, delivers traffic, and never enters a dark
 //!    router when sprinting on a partial ring arc.
@@ -121,6 +124,62 @@ fn mesh_runs_are_bit_identical_to_pre_trait_refactor() {
         assert_eq!(
             got, pin,
             "mesh drift at level {level} rate {rate} seed {seed} {baseline:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Circulant bit-identity pin
+// ---------------------------------------------------------------------------
+
+/// `(n, skip, level, rate, seed, baseline)` → pinned metrics, in the same
+/// layout as [`pinned_points`]. Level `n` runs the full chord-first routing
+/// with dateline VC classes; a smaller NoC-sprinting level runs the in-arc
+/// ring walk; two points run past saturation, where blocked VA requests
+/// retry for many cycles. Captured under `Experiment::quick()` before the
+/// circulant routing decisions became table lookups, so any drift in the
+/// per-hop port, the dateline class or the VC lanes granted fails here.
+#[allow(clippy::type_complexity)]
+fn pinned_circulant_points(
+) -> Vec<((u16, u16, usize, f64, u64, SyntheticBaseline), (u64, u64, u64, u64, bool))> {
+    use SyntheticBaseline::{NocSprinting, RandomEndpoints, SpreadAggregate};
+    vec![
+        ((16, 5, 16, 0.20, 1, NocSprinting), (0x40383347f4a6351b, 0x40375bd1c945edc2, 0x3fd9b6b345673d4f, 0x3fc94fdf3b645a1d, false)),
+        ((16, 5, 7, 0.25, 2, NocSprinting), (0x403ce77b500b89bc, 0x403b95fe8ec87926, 0x3fce2206a9d71844, 0x3fd020c49ba5e354, false)),
+        ((16, 3, 11, 0.15, 3, NocSprinting), (0x4041fd92ce41843f, 0x40419b4c6f9ef03a, 0x3fd472d9bc4971e3, 0x3fc25e353f7ced91, false)),
+        ((16, 5, 8, 0.30, 4, SpreadAggregate), (0x4037a6e263143408, 0x403728f5c28f5c29, 0x3fd52d5fc17e068b, 0x3fc284189374bc6a, false)),
+        ((16, 3, 6, 0.20, 5, RandomEndpoints), (0x4038fcd53ecff78e, 0x403840655826010e, 0x3fcf87e19c78d83c, 0x3fc9d5acb6f46509, false)),
+        ((64, 8, 64, 0.10, 6, NocSprinting), (0x4040611612fa4e82, 0x404034b0318abcc7, 0x3ff70951fe2488a0, 0x3fb992f1a9fbe76d, false)),
+        ((64, 8, 20, 0.20, 7, NocSprinting), (0x409fbc6249e0859f, 0x406e7033648979bd, 0x3fe90bc7bf1bdf2d, 0x3fc268db8bac710d, true)),
+        ((64, 8, 20, 0.08, 8, NocSprinting), (0x4048e8462e416549, 0x4048aca91257b9d2, 0x3fe140195340cd57, 0x3fb47e28240b7803, false)),
+        ((256, 15, 256, 0.05, 9, NocSprinting), (0x404a6052e052e053, 0x404a4ad52ad52ad5, 0x401629012e5be68d, 0x3fa9c9374bc6a7f0, false)),
+        ((256, 15, 48, 0.10, 10, NocSprinting), (0x408f92d46a0778cc, 0x4074b2b686d9653a, 0x3ffc60faad40fc85, 0x3fb0c5f92c5f92c6, true)),
+    ]
+}
+
+#[test]
+fn circulant_runs_are_bit_identical_to_pinned_points() {
+    let exp = Experiment::quick();
+    for ((n, skip, level, rate, seed, baseline), pin) in pinned_circulant_points() {
+        let job = SyntheticJob {
+            topology: TopologySpec::Circulant { n, skip },
+            level,
+            pattern: TrafficPattern::UniformRandom,
+            rate,
+            seed,
+            baseline,
+        };
+        let m = job.run(&exp).unwrap();
+        let got = (
+            m.avg_packet_latency.to_bits(),
+            m.avg_network_latency.to_bits(),
+            m.network_power.to_bits(),
+            m.accepted_throughput.to_bits(),
+            m.saturated,
+        );
+        assert_eq!(
+            got, pin,
+            "circ{n}s{skip} drift at level {level} rate {rate} seed {seed} {baseline:?}"
         );
     }
 }
